@@ -3,7 +3,7 @@
 // attention) against the scalar double-accumulating reference loops the
 // batched kernels replaced, plus timing-only rows for the centroid-update
 // channel-partition trade-off (Fig. 7), full k-means, cluster selection +
-// indexing, and Quest page scoring.
+// indexing, Quest page scoring and InfiniGen's Jacobi SVD.
 //
 //   bench_kernels            human-readable table (ns/score, GB/s, speedup)
 //   bench_kernels --json     also writes BENCH_KERNELS.json (machine-readable
@@ -27,6 +27,7 @@
 #include "kvcache/kv_store.hpp"
 #include "model/procedural.hpp"
 #include "tensor/rng.hpp"
+#include "tensor/svd.hpp"
 #include "tensor/vec_ops.hpp"
 #include "util/args.hpp"
 #include "util/parallel.hpp"
@@ -426,6 +427,31 @@ int main(int argc, char** argv) {
         [&] {
           auto sel = quest.select(q, 1024);
           if (sel.indices.empty()) {
+            std::abort();
+          }
+        },
+        min_seconds);
+    rows.push_back(row);
+  }
+
+  {
+    // InfiniGen's offline basis fit (§V baseline): the Jacobi SVD of one
+    // head's leading 512 procedural keys, its calibration shape.
+    const Index n = 512;
+    ProceduralParams params;
+    params.head_dim = dim;
+    const HeadStream stream(params, Rng(14), n);
+    const Matrix sample = stream.keys().row_slice(0, n);
+    Row row;
+    row.kernel = "jacobi-svd";
+    row.metric = "-";
+    row.n = n;
+    row.dim = dim;
+    row.bytes_per_call = static_cast<double>(n * dim) * sizeof(float);
+    row.batched_ns = ns_per_call(
+        [&] {
+          const auto svd = jacobi_svd(sample);
+          if (svd.singular_values.empty()) {
             std::abort();
           }
         },

@@ -1,6 +1,7 @@
 #include "core/kernels.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 
 #include "tensor/vec_ops.hpp"
@@ -39,6 +40,79 @@ void argmax_adjustments(const Matrix& centroids, DistanceMetric metric,
     } else {
       bias[static_cast<std::size_t>(c)] = static_cast<float>(-0.5 * norm * norm);
     }
+  }
+}
+
+/// Four float lanes in one SSE-width register: two of them hold one key's
+/// kDotLanes accumulators. GCC and Clang both lower arithmetic on this
+/// type lane-wise, so the register blocking below stays explicit without
+/// intrinsics (nested scalar float arrays did not stay in registers).
+using Float4 = float __attribute__((vector_size(16)));
+static_assert(kDotLanes == 8, "argmax_block holds the 8 lanes as two Float4");
+
+Float4 load_float4(const float* p) noexcept {
+  Float4 v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+/// Keys scored per pass over a centroid row: 4 keys x 2 Float4 = 8
+/// independent accumulator chains, enough to hide the add latency.
+constexpr Index kArgmaxKeys = 4;
+
+struct ArgmaxOperands {
+  const Matrix& keys;
+  const Matrix& centroids;
+  const std::vector<float>& mult;  ///< per-centroid score multiplier
+  const std::vector<float>& bias;  ///< per-centroid score offset
+};
+
+/// Labels keys [first, first + kKeys) with argmax_c (dot(key, c) * mult_c +
+/// bias_c). Each (key, centroid) dot reproduces dot_f32 exactly: the
+/// kDotLanes-lane walk, the 4/2/1 pairwise tree, then the serial tail; a
+/// strict `>` keeps the first maximum (and label 0 for a NaN key).
+template <Index kKeys>
+void argmax_block(const ArgmaxOperands& op, Index first, Index* labels) {
+  const Index dim = op.keys.cols();
+  const Index lane_end = dim - dim % static_cast<Index>(kDotLanes);
+  const float* centroid_base = op.centroids.flat().data();
+  const float* key[kKeys];
+  float best[kKeys];
+  Index best_c[kKeys];
+  for (Index k = 0; k < kKeys; ++k) {
+    key[k] = op.keys.flat().data() + (first + k) * dim;
+    best[k] = -std::numeric_limits<float>::infinity();
+    best_c[k] = 0;
+  }
+  for (Index c = 0; c < op.centroids.rows(); ++c) {
+    const float* cen = centroid_base + c * dim;
+    Float4 lo[kKeys] = {};  // lanes 0-3
+    Float4 hi[kKeys] = {};  // lanes 4-7
+    for (Index i = 0; i < lane_end; i += static_cast<Index>(kDotLanes)) {
+      const Float4 cen_lo = load_float4(cen + i);
+      const Float4 cen_hi = load_float4(cen + i + 4);
+      for (Index k = 0; k < kKeys; ++k) {
+        lo[k] += load_float4(key[k] + i) * cen_lo;
+        hi[k] += load_float4(key[k] + i + 4) * cen_hi;
+      }
+    }
+    const float m = op.mult[static_cast<std::size_t>(c)];
+    const float b = op.bias[static_cast<std::size_t>(c)];
+    for (Index k = 0; k < kKeys; ++k) {
+      const Float4 half = lo[k] + hi[k];  // tree stride 4
+      float total = (half[0] + half[2]) + (half[1] + half[3]);  // strides 2, 1
+      for (Index i = lane_end; i < dim; ++i) {
+        total += key[k][i] * cen[i];
+      }
+      const float score = total * m + b;
+      if (score > best[k]) {
+        best[k] = score;
+        best_c[k] = c;
+      }
+    }
+  }
+  for (Index k = 0; k < kKeys; ++k) {
+    labels[k] = best_c[k];
   }
 }
 
@@ -156,36 +230,31 @@ std::vector<Index> batched_argmax(const Matrix& keys, const Matrix& centroids,
   expects(keys.cols() == centroids.cols(), "batched_argmax: dim mismatch");
   expects(centroids.rows() > 0, "batched_argmax: need at least one centroid");
   const Index n = keys.rows();
-  const Index c_count = centroids.rows();
   const Index dim = keys.cols();
 
   std::vector<float> mult;
   std::vector<float> bias;
   argmax_adjustments(centroids, metric, mult, bias);
 
-  // GEMM-style tiling: the key chunk handed to each worker streams the
-  // centroid block once per key; per-(key, centroid) reductions use the
-  // fixed-lane dot_f32 walk, so a score is bit-identical however the keys
-  // are chunked across workers.
+  // Register blocking: each pass over a centroid row serves kArgmaxKeys
+  // keys (argmax_block). The pool splits whole blocks, so only the last
+  // n % kArgmaxKeys keys take the same template with a block of one.
+  // Blocking only shares the centroid loads: every label is independent
+  // of the blocking and of how blocks are chunked across workers.
   std::vector<Index> labels(static_cast<std::size_t>(n), 0);
-  const float* centroid_base = centroids.flat().data();
-  const Index grain = score_grain(c_count * dim);
-  parallel_for_range(0, n, grain, [&](Index begin, Index end) {
-    for (Index i = begin; i < end; ++i) {
-      const auto key = keys.row(i);
-      float best = -std::numeric_limits<float>::infinity();
-      Index best_c = 0;
-      for (Index c = 0; c < c_count; ++c) {
-        const std::span<const float> cen(centroid_base + c * dim,
-                                         static_cast<std::size_t>(dim));
-        const float score = dot_f32(key, cen) * mult[static_cast<std::size_t>(c)] +
-                            bias[static_cast<std::size_t>(c)];
-        if (score > best) {
-          best = score;
-          best_c = c;
-        }
+  const ArgmaxOperands op{keys, centroids, mult, bias};
+  const Index blocks = (n + kArgmaxKeys - 1) / kArgmaxKeys;
+  const Index grain = score_grain(kArgmaxKeys * centroids.rows() * dim);
+  parallel_for_range(0, blocks, grain, [&](Index block_begin, Index block_end) {
+    for (Index block = block_begin; block < block_end; ++block) {
+      const Index first = block * kArgmaxKeys;
+      if (first + kArgmaxKeys <= n) {
+        argmax_block<kArgmaxKeys>(op, first, labels.data() + first);
+        continue;
       }
-      labels[static_cast<std::size_t>(i)] = best_c;
+      for (Index i = first; i < n; ++i) {
+        argmax_block<1>(op, i, labels.data() + i);
+      }
     }
   });
   return labels;

@@ -53,9 +53,10 @@ void batched_pair_scores(const Matrix& a, const Matrix& b,
 
 /// Assignment kernel: labels[i] = argmax_c similarity(metric, keys.row(i),
 /// centroids.row(c)), ties broken toward the lower cluster id. GEMM-style:
-/// key blocks stream the centroid matrix once per block, with the
-/// per-centroid metric adjustment precomputed. Per-key results are
-/// independent of blocking and thread count.
+/// 4-key register blocks stream the centroid matrix once per block, with
+/// the per-centroid metric adjustment precomputed. Every score keeps
+/// dot_f32's accumulation order, so labels are bit-identical to a
+/// per-pair dot_f32 argmax at any blocking and thread count.
 std::vector<Index> batched_argmax(const Matrix& keys, const Matrix& centroids,
                                   DistanceMetric metric);
 

@@ -15,6 +15,8 @@ namespace {
 /// written last. Microseconds to match TraceEvent::virtual_us.
 thread_local double t_virtual_now_us = 0.0;
 thread_local std::int64_t t_track = 0;
+/// Active per-item capture buffer (nullptr: records go to the ring).
+thread_local TraceBuffer* t_capture = nullptr;
 
 }  // namespace
 
@@ -87,28 +89,67 @@ std::uint16_t Tracer::intern_locked(const char* name) {
   return id;
 }
 
+Tracer::CaptureScope::CaptureScope(TraceBuffer& buffer) noexcept : previous_(t_capture) {
+  t_capture = &buffer;
+}
+
+Tracer::CaptureScope::~CaptureScope() { t_capture = previous_; }
+
 void Tracer::record(TraceEvent::Phase phase, const char* name, std::int64_t track,
                     double virtual_ms, std::initializer_list<Arg> args) {
   const auto wall = std::chrono::steady_clock::now().time_since_epoch();
-  TraceEvent event;
-  event.phase = phase;
-  event.track = track;
-  event.virtual_us = virtual_ms * 1000.0;
-  event.wall_ns = static_cast<std::uint64_t>(
+  TraceBuffer::Pending pending{};
+  pending.phase = phase;
+  pending.name = name;
+  pending.track = track;
+  pending.virtual_ms = virtual_ms;
+  pending.wall_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(wall).count());
-  const LockGuard lock(mutex_);
-  if (!enabled_.load(std::memory_order_relaxed) || ring_.empty()) {
-    return;  // lost the race with disable()
-  }
-  event.name = intern_locked(name);
   int slot = 0;
   for (const Arg& arg : args) {
     if (slot >= 2) {
       break;
     }
-    event.arg_names[slot] = intern_locked(arg.name);
-    event.args[slot] = arg.value;
+    pending.arg_names[slot] = arg.name;
+    pending.args[slot] = arg.value;
     ++slot;
+  }
+  if (t_capture != nullptr) {
+    t_capture->events_.push_back(pending);
+    return;
+  }
+  const LockGuard lock(mutex_);
+  append_locked(pending);
+}
+
+void Tracer::commit(TraceBuffer& buffer) {
+  if (buffer.events_.empty()) {
+    return;
+  }
+  {
+    const LockGuard lock(mutex_);
+    for (const TraceBuffer::Pending& pending : buffer.events_) {
+      append_locked(pending);
+    }
+  }
+  buffer.events_.clear();
+}
+
+void Tracer::append_locked(const TraceBuffer::Pending& pending) {
+  if (!enabled_.load(std::memory_order_relaxed) || ring_.empty()) {
+    return;  // lost the race with disable()
+  }
+  TraceEvent event;
+  event.phase = pending.phase;
+  event.track = pending.track;
+  event.virtual_us = pending.virtual_ms * 1000.0;
+  event.wall_ns = pending.wall_ns;
+  event.name = intern_locked(pending.name);
+  for (int slot = 0; slot < 2; ++slot) {
+    if (pending.arg_names[slot] != nullptr) {
+      event.arg_names[slot] = intern_locked(pending.arg_names[slot]);
+      event.args[slot] = pending.args[slot];
+    }
   }
   ring_[head_] = event;
   head_ = (head_ + 1) % ring_.size();

@@ -81,6 +81,28 @@ struct TraceEvent {
   std::int64_t args[2] = {0, 0};
 };
 
+/// Events recorded on one thread while it captures into this buffer
+/// (Tracer::CaptureScope), held back from the shared ring until
+/// Tracer::commit appends them. The scheduler gives every advance item
+/// one buffer and commits them in item order, so leaf events from
+/// concurrently advancing sessions reach the ring in the serial order at
+/// any worker count. Names stay unresolved until commit (they are static
+/// strings), so name interning order is deterministic too.
+class TraceBuffer {
+ private:
+  friend class Tracer;
+  struct Pending {
+    TraceEvent::Phase phase;
+    const char* name;
+    std::int64_t track;
+    double virtual_ms;
+    std::uint64_t wall_ns;
+    const char* arg_names[2];
+    std::int64_t args[2];
+  };
+  std::vector<Pending> events_;
+};
+
 /// Ring-buffer tracer. Disabled by default: the buffer is not allocated
 /// and record calls return after one branch. enable() allocates a
 /// fixed-capacity ring; on overflow the oldest events are dropped (the
@@ -92,10 +114,11 @@ struct TraceEvent {
 /// and the ambient context (track + virtual now) is thread_local — each
 /// pool worker advancing a session under the scheduler's parallel fan-out
 /// carries its own cursor, so concurrent steps' leaf events land on
-/// coherent per-session tracks. Ring order across tracks varies with
-/// thread interleaving, but within one track all of a tick's events come
-/// from a single thread, and the exporter's stable (track, ts) sort makes
-/// the written trace per-track deterministic anyway.
+/// coherent per-session tracks. Those steps capture their events into
+/// per-item TraceBuffers that the serial commit phase appends in item
+/// order, so the ring order of every non-worker event is the same at any
+/// worker count; only the pool's own occupancy spans (worker tracks) are
+/// recorded in wall-clock order.
 class Tracer {
  public:
   static constexpr std::size_t kDefaultCapacity = std::size_t{1} << 18;
@@ -133,6 +156,8 @@ class Tracer {
   void set_track_name(std::int64_t track, const std::string& name);
 
   // ---- recording (ambient track/time unless _at variant) ----
+  // Event and argument names must have static storage (string literals):
+  // a captured event keeps the pointer until Tracer::commit interns it.
 
   void begin(const char* name, std::initializer_list<Arg> args = {}) {
     if (enabled()) {
@@ -174,6 +199,27 @@ class Tracer {
     }
   }
 
+  // ---- per-item capture (deterministic ring order under fan-out) ----
+
+  /// Routes the calling thread's records into `buffer` instead of the
+  /// ring for the scope's lifetime (restoring any enclosing capture).
+  /// Costs one thread-local store each way and allocates nothing while
+  /// the tracer is disabled, since disabled record calls never run.
+  class CaptureScope {
+   public:
+    explicit CaptureScope(TraceBuffer& buffer) noexcept;
+    ~CaptureScope();
+    CaptureScope(const CaptureScope&) = delete;
+    CaptureScope& operator=(const CaptureScope&) = delete;
+
+   private:
+    TraceBuffer* previous_;
+  };
+
+  /// Appends the buffered events to the ring in recording order and
+  /// empties the buffer; a no-op for an empty buffer.
+  void commit(TraceBuffer& buffer);
+
   // ---- inspection / export ----
 
   /// Recorded events, oldest first (at most `capacity` of them).
@@ -197,6 +243,7 @@ class Tracer {
  private:
   void record(TraceEvent::Phase phase, const char* name, std::int64_t track,
               double virtual_ms, std::initializer_list<Arg> args);
+  void append_locked(const TraceBuffer::Pending& pending) CKV_REQUIRES(mutex_);
   std::uint16_t intern_locked(const char* name) CKV_REQUIRES(mutex_);
 
   std::atomic<bool> enabled_{false};

@@ -617,10 +617,12 @@ void BatchScheduler::advance_item(AdvanceItem& item, double completed_ms) {
   // Thread-local tracer context: on a pool worker this scopes the step's
   // leaf instants (demand-fetch, fetch-issue, repair-pass, ...) to this
   // session's track without disturbing concurrent steps or the scheduler
-  // thread's cursor.
+  // thread's cursor. They are captured per item and reach the ring in
+  // commit_item, in item order, whichever worker ran the step.
   auto& tr = obs::tracer();
   tr.set_track(session_track(*item.session));
   tr.set_virtual_now_ms(completed_ms);
+  const obs::Tracer::CaptureScope capture(item.trace);
   if (item.prefilling) {
     item.session->prefill_next(item.chunk, completed_ms);
   } else {
@@ -631,6 +633,7 @@ void BatchScheduler::advance_item(AdvanceItem& item, double completed_ms) {
 void BatchScheduler::commit_item(AdvanceItem& item, double completed_ms) {
   auto& tr = obs::tracer();
   Session* session = item.session;
+  tr.commit(item.trace);
   tr.set_track(session_track(*session));
   if (item.prefilling) {
     tr.instant("prefill-chunk",

@@ -32,6 +32,7 @@
 
 #include "kvcache/tiered_store.hpp"
 #include "metrics/serve_metrics.hpp"
+#include "obs/trace.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/session.hpp"
 #include "sim/fault_injector.hpp"
@@ -216,6 +217,9 @@ class BatchScheduler {
     double pre_last_step_ms = -1.0;
     double pre_first_token_ms = -1.0;
     StepResult step;  ///< decode outcome (decoders only)
+    /// Leaf trace events the advance recorded, appended to the ring by
+    /// commit_item so their order is the serial order at any worker count.
+    obs::TraceBuffer trace;
   };
 
   void admit_arrivals() CKV_REQUIRES(serial_phase_);
@@ -223,7 +227,8 @@ class BatchScheduler {
   void retire_finished() CKV_REQUIRES(serial_phase_);
   /// Runs one item's prefill chunk / decode step at `completed_ms`,
   /// setting the calling thread's tracer context to the session's track
-  /// (safe from pool workers — the ambient context is per-thread).
+  /// (safe from pool workers — the ambient context is per-thread) and
+  /// capturing the step's trace events into item.trace.
   ///
   /// Deliberately *not* CKV_REQUIRES(serial_phase_): this is the one
   /// scheduler method pool workers may run concurrently, and the analysis
@@ -231,9 +236,10 @@ class BatchScheduler {
   /// CKV_GUARDED_BY(serial_phase_) member here is a clang CI error — the
   /// compile-time form of "workers stay out of the commit phase").
   void advance_item(AdvanceItem& item, double completed_ms);
-  /// The item's order-sensitive tail, serial-only: trace edges, metrics,
-  /// the ledger cross-check and the budget-enforcement checkpoint, in the
-  /// exact order the serial scheduler interleaves them between steps.
+  /// The item's order-sensitive tail, serial-only: the advance's captured
+  /// trace events, then trace edges, metrics, the ledger cross-check and
+  /// the budget-enforcement checkpoint, in the exact order the serial
+  /// scheduler interleaves them between steps.
   void commit_item(AdvanceItem& item, double completed_ms)
       CKV_REQUIRES(serial_phase_);
   /// fast_tier_bytes() for callers already inside the serial phase.

@@ -8,33 +8,60 @@
 
 namespace ckv {
 
+namespace {
+
+/// Applies the Jacobi rotation [c -s; s c] to the contiguous column pair
+/// (x, y) of length len, in double, storing back to float.
+void rotate_columns(float* x, float* y, std::size_t len, double c, double s) noexcept {
+  for (std::size_t r = 0; r < len; ++r) {
+    const double xr = static_cast<double>(x[r]);
+    const double yr = static_cast<double>(y[r]);
+    x[r] = static_cast<float>(c * xr - s * yr);
+    y[r] = static_cast<float>(s * xr + c * yr);
+  }
+}
+
+}  // namespace
+
 SvdResult jacobi_svd(const Matrix& a, double tolerance, int max_sweeps) {
   expects(!a.empty(), "jacobi_svd: matrix must not be empty");
   // One-sided Jacobi works on columns of a working copy w (m x n),
-  // orthogonalizing column pairs; V accumulates the rotations.
+  // orthogonalizing column pairs; V accumulates the rotations. Both are
+  // stored column-major so every pair touches two contiguous columns.
   const Index m = a.rows();
   const Index n = a.cols();
-  Matrix w = a;
-  Matrix v(n, n);
-  for (Index i = 0; i < n; ++i) {
-    v.at(i, i) = 1.0f;
-  }
-
-  const auto column_dot = [&w, m](Index ci, Index cj) {
-    double acc = 0.0;
-    for (Index r = 0; r < m; ++r) {
-      acc += static_cast<double>(w.at(r, ci)) * static_cast<double>(w.at(r, cj));
+  const auto um = static_cast<std::size_t>(m);
+  const auto un = static_cast<std::size_t>(n);
+  std::vector<float> w(um * un);
+  for (std::size_t r = 0; r < um; ++r) {
+    const auto row = a.row(static_cast<Index>(r));
+    for (std::size_t c = 0; c < un; ++c) {
+      w[c * um + r] = row[c];
     }
-    return acc;
-  };
+  }
+  std::vector<float> v(un * un, 0.0f);
+  for (std::size_t i = 0; i < un; ++i) {
+    v[i * un + i] = 1.0f;
+  }
 
   for (int sweep = 0; sweep < max_sweeps; ++sweep) {
     double off_diagonal = 0.0;
-    for (Index p = 0; p < n - 1; ++p) {
-      for (Index q = p + 1; q < n; ++q) {
-        const double alpha = column_dot(p, p);
-        const double beta = column_dot(q, q);
-        const double gamma = column_dot(p, q);
+    for (std::size_t p = 0; p + 1 < un; ++p) {
+      for (std::size_t q = p + 1; q < un; ++q) {
+        float* wp_col = w.data() + p * um;
+        float* wq_col = w.data() + q * um;
+        // |w_p|^2, |w_q|^2 and <w_p, w_q>: three independent double
+        // chains, each accumulated in row order.
+        double alpha = 0.0;
+        double beta = 0.0;
+        double gamma = 0.0;
+        for (std::size_t r = 0; r < um; ++r) {
+          const double wp = static_cast<double>(wp_col[r]);
+          const double wq = static_cast<double>(wq_col[r]);
+          alpha += wp * wp;
+          beta += wq * wq;
+          gamma += wp * wq;
+        }
         if (alpha * beta == 0.0) {
           continue;
         }
@@ -48,18 +75,8 @@ SvdResult jacobi_svd(const Matrix& a, double tolerance, int max_sweeps) {
                          (std::abs(zeta) + std::sqrt(1.0 + zeta * zeta));
         const double c = 1.0 / std::sqrt(1.0 + t * t);
         const double s = c * t;
-        for (Index r = 0; r < m; ++r) {
-          const double wp = static_cast<double>(w.at(r, p));
-          const double wq = static_cast<double>(w.at(r, q));
-          w.at(r, p) = static_cast<float>(c * wp - s * wq);
-          w.at(r, q) = static_cast<float>(s * wp + c * wq);
-        }
-        for (Index r = 0; r < n; ++r) {
-          const double vp = static_cast<double>(v.at(r, p));
-          const double vq = static_cast<double>(v.at(r, q));
-          v.at(r, p) = static_cast<float>(c * vp - s * vq);
-          v.at(r, q) = static_cast<float>(s * vp + c * vq);
-        }
+        rotate_columns(wp_col, wq_col, um, c, s);
+        rotate_columns(v.data() + p * un, v.data() + q * un, un, c, s);
       }
     }
     if (off_diagonal <= tolerance) {
@@ -69,13 +86,14 @@ SvdResult jacobi_svd(const Matrix& a, double tolerance, int max_sweeps) {
 
   // Singular values are the column norms of w; U columns are normalized w.
   const Index rank = std::min(m, n);
-  std::vector<float> sigma_all(static_cast<std::size_t>(n));
-  for (Index c = 0; c < n; ++c) {
+  std::vector<float> sigma_all(un);
+  for (std::size_t c = 0; c < un; ++c) {
+    const float* col = w.data() + c * um;
     double norm_sq = 0.0;
-    for (Index r = 0; r < m; ++r) {
-      norm_sq += static_cast<double>(w.at(r, c)) * static_cast<double>(w.at(r, c));
+    for (std::size_t r = 0; r < um; ++r) {
+      norm_sq += static_cast<double>(col[r]) * static_cast<double>(col[r]);
     }
-    sigma_all[static_cast<std::size_t>(c)] = static_cast<float>(std::sqrt(norm_sq));
+    sigma_all[c] = static_cast<float>(std::sqrt(norm_sq));
   }
 
   const auto order = top_k_indices(sigma_all, rank);
@@ -84,15 +102,18 @@ SvdResult jacobi_svd(const Matrix& a, double tolerance, int max_sweeps) {
   out.v = Matrix(n, rank);
   out.singular_values.resize(static_cast<std::size_t>(rank));
   for (Index k = 0; k < rank; ++k) {
-    const Index c = order[static_cast<std::size_t>(k)];
-    const double sigma = static_cast<double>(sigma_all[static_cast<std::size_t>(c)]);
+    const auto c = static_cast<std::size_t>(order[static_cast<std::size_t>(k)]);
+    const double sigma = static_cast<double>(sigma_all[c]);
     out.singular_values[static_cast<std::size_t>(k)] = static_cast<float>(sigma);
     const double inv = sigma > 0.0 ? 1.0 / sigma : 0.0;
+    const float* w_col = w.data() + c * um;
+    const float* v_col = v.data() + c * un;
     for (Index r = 0; r < m; ++r) {
-      out.u.at(r, k) = static_cast<float>(static_cast<double>(w.at(r, c)) * inv);
+      out.u.at(r, k) = static_cast<float>(
+          static_cast<double>(w_col[static_cast<std::size_t>(r)]) * inv);
     }
     for (Index r = 0; r < n; ++r) {
-      out.v.at(r, k) = v.at(r, c);
+      out.v.at(r, k) = v_col[static_cast<std::size_t>(r)];
     }
   }
   return out;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "core/centroid_store.hpp"
@@ -179,6 +180,110 @@ TEST(BatchedArgmax, SingleCentroidLabelsEverythingZero) {
   for (const auto metric : kAllMetrics) {
     for (const Index label : batched_argmax(keys, centroid, metric)) {
       EXPECT_EQ(label, 0);
+    }
+  }
+}
+
+/// Per-pair argmax reference for batched_argmax's bit-identity contract:
+/// one dot_f32 per (key, centroid) with the same per-centroid adjustment
+/// (cosine: 1/|c|, or 0 for a zero centroid; L2: -|c|^2/2), first maximum
+/// wins. Register blocking across keys must not move a single label.
+std::vector<Index> dot_f32_argmax(const Matrix& keys, const Matrix& centroids,
+                                  DistanceMetric metric) {
+  std::vector<Index> labels(static_cast<std::size_t>(keys.rows()), 0);
+  for (Index i = 0; i < keys.rows(); ++i) {
+    float best = -std::numeric_limits<float>::infinity();
+    for (Index c = 0; c < centroids.rows(); ++c) {
+      const double norm = norm2(centroids.row(c));
+      float mult = 1.0f;
+      float bias = 0.0f;
+      if (metric == DistanceMetric::kCosine) {
+        mult = norm > 0.0 ? static_cast<float>(1.0 / norm) : 0.0f;
+      } else if (metric == DistanceMetric::kL2) {
+        bias = static_cast<float>(-0.5 * norm * norm);
+      }
+      const float score = dot_f32(keys.row(i), centroids.row(c)) * mult + bias;
+      if (score > best) {
+        best = score;
+        labels[static_cast<std::size_t>(i)] = c;
+      }
+    }
+  }
+  return labels;
+}
+
+TEST(BatchedArgmax, BitIdenticalToPerPairDotF32) {
+  WorkerGuard guard;
+  // 97 centroids: at dim 65-128 the pool grain drops to one or two
+  // 4-key blocks, so a 33-key batch spreads over several chunks; key
+  // counts that are not a multiple of 4 run the single-key block.
+  constexpr Index kCentroids = 97;
+  for (const Index dim : {1, 7, 8, 9, 63, 64, 65, 128}) {
+    const auto seed = static_cast<std::uint64_t>(dim) * 100;
+    Matrix centroids = random_matrix(kCentroids, dim, seed);
+    fill(centroids.row(1), 0.0f);  // zero norm: cosine multiplier 0
+    // Rows 40.. repeat rows 0..: every key sees exact ties, which the
+    // lower id must win.
+    for (Index c = 40; c < kCentroids; ++c) {
+      copy_to(centroids.row(c % 40), centroids.row(c));
+    }
+    for (const Index n : {1, 2, 3, 4, 5, 7, 33}) {
+      Matrix keys = random_matrix(n, dim, seed + static_cast<std::uint64_t>(n));
+      if (n > 2) {
+        // A key equal to a centroid ties with that centroid's repeat.
+        copy_to(centroids.row(7), keys.row(1));
+        // NaN scores never compare greater: the key keeps label 0.
+        keys.row(2)[0] = std::numeric_limits<float>::quiet_NaN();
+      }
+      for (const auto metric : kAllMetrics) {
+        const auto expected = dot_f32_argmax(keys, centroids, metric);
+        if (n > 2) {
+          ASSERT_EQ(expected[2], 0);
+        }
+        for (const int workers : {1, 2, 4}) {
+          set_parallel_workers(workers);
+          EXPECT_EQ(batched_argmax(keys, centroids, metric), expected)
+              << to_string(metric) << " dim " << dim << " keys " << n << " workers "
+              << workers;
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchedArgmax, AccumulationOrderDecidesExactTies) {
+  WorkerGuard guard;
+  // Constant keys against permutations of one wide-range vector: every
+  // score is equal in exact arithmetic, so only the float accumulation
+  // order (lane walk, pairwise tree, tail) picks the label. Any reordering
+  // of a (key, centroid) dot moves some of these labels.
+  constexpr Index kCentroids = 61;
+  Rng rng(90);
+  for (const Index dim : {9, 16, 64, 67}) {
+    std::vector<float> base(static_cast<std::size_t>(dim));
+    for (float& v : base) {
+      const int exponent = static_cast<int>(rng.uniform_int(-12, 12));
+      v = static_cast<float>(std::ldexp(rng.normal(), exponent));
+    }
+    Matrix centroids(kCentroids, dim);
+    for (Index c = 0; c < kCentroids; ++c) {
+      const auto perm = rng.permutation(dim);
+      for (Index d = 0; d < dim; ++d) {
+        centroids.row(c)[static_cast<std::size_t>(d)] =
+            base[static_cast<std::size_t>(perm[static_cast<std::size_t>(d)])];
+      }
+    }
+    Matrix keys(9, dim);
+    for (Index i = 0; i < keys.rows(); ++i) {
+      fill(keys.row(i), static_cast<float>(i - 4) * 0.75f + 0.5f);
+    }
+    for (const auto metric : kAllMetrics) {
+      const auto expected = dot_f32_argmax(keys, centroids, metric);
+      for (const int workers : {1, 4}) {
+        set_parallel_workers(workers);
+        EXPECT_EQ(batched_argmax(keys, centroids, metric), expected)
+            << to_string(metric) << " dim " << dim << " workers " << workers;
+      }
     }
   }
 }
