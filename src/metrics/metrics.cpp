@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
+#include <vector>
 
 namespace ckv {
 
@@ -10,10 +10,18 @@ double recall_of(std::span<const Index> selected, std::span<const Index> truth) 
   if (truth.empty()) {
     return 0.0;
   }
-  const std::unordered_set<Index> selected_set(selected.begin(), selected.end());
+  expects(std::is_sorted(selected.begin(), selected.end()),
+          "recall_of: selected must be ascending");
+  std::vector<Index> sorted_truth(truth.begin(), truth.end());
+  std::sort(sorted_truth.begin(), sorted_truth.end());
+  // Merge: each truth entry counts when selected holds it.
   Index overlap = 0;
-  for (const Index t : truth) {
-    if (selected_set.contains(t)) {
+  std::size_t j = 0;
+  for (const Index t : sorted_truth) {
+    while (j < selected.size() && selected[j] < t) {
+      ++j;
+    }
+    if (j < selected.size() && selected[j] == t) {
       ++overlap;
     }
   }

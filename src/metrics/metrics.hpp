@@ -10,8 +10,9 @@
 
 namespace ckv {
 
-/// |selected ∩ truth| / |truth| (0 for empty truth). Inputs need not be
-/// sorted; duplicates in `selected` count once.
+/// |selected ∩ truth| / |truth| (0 for empty truth). `selected` must be
+/// ascending (SelectionResult's order; duplicates count once); `truth` may
+/// be in any order.
 double recall_of(std::span<const Index> selected, std::span<const Index> truth);
 
 /// Sum of probabilities at the selected indices (probabilities should sum

@@ -4,7 +4,8 @@
 // This is the measurement harness behind Fig. 9/10/11 and §V-C.
 #pragma once
 
-#include <optional>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "model/procedural.hpp"
@@ -38,6 +39,23 @@ struct StepResult {
   std::vector<float> features;     ///< last-layer concat of attention outputs
 };
 
+/// Head fan-out and its reduction contract. run_prefill, prefill_chunk and
+/// decode_step each run one pool task per (layer, head) over the
+/// flattened layer-major range (parallel_for) when layers x heads is at
+/// least the worker count; with fewer heads than workers they run the
+/// heads in order on the caller instead, so the kernels inside each head
+/// keep the whole pool. A task does all of one head's work — its
+/// HeadStream, its selector's observe/select calls, the exact attention
+/// and the quality measurement — and writes only into that head's own
+/// slot; kernels nested inside a task run serially (the pool is not
+/// re-entrant). After the region the slots are reduced serially in
+/// (layer, head, sub-query) order: token counters, the RunningStat adds
+/// behind recall/coverage/error, and the feature vector. Trace events
+/// recorded inside a task go to a per-task obs::TraceBuffer under the
+/// caller's ambient track and virtual time, and are committed in head
+/// order into the caller's open capture scope (or the ring). Every
+/// StepResult field, every aggregate and every trace event is therefore
+/// bit-identical at any worker count, on either path.
 class DecodeEngine {
  public:
   DecodeEngine(ProceduralContextModel& model, const SelectorFactory& factory,
@@ -115,6 +133,19 @@ class DecodeEngine {
   [[nodiscard]] const DecodeEngineConfig& config() const noexcept { return config_; }
 
  private:
+  /// One (layer, head)'s share of a decode step (defined in the .cpp).
+  struct HeadStep;
+
+  /// Runs body(layer, head) for every head as one pool task each, then
+  /// commits the tasks' trace buffers in head order; in a plain head loop
+  /// when there are fewer heads than workers (class comment).
+  void for_each_head(const std::function<void(Index, Index)>& body);
+
+  /// All of one head's decode-step work; writes only `out` and, on the
+  /// last layer, `features` (this head's group_size x head_dim slice).
+  void decode_head(Index step, Index layer, Index head, HeadStep& out,
+                   std::span<float> features);
+
   ProceduralContextModel& model_;
   DecodeEngineConfig config_;
   SelectorBank bank_;

@@ -30,6 +30,13 @@ void Tracer::set_track(std::int64_t track) noexcept { t_track = track; }
 
 std::int64_t Tracer::track() const noexcept { return t_track; }
 
+Tracer::Ambient Tracer::ambient() const noexcept { return {t_track, t_virtual_now_us}; }
+
+void Tracer::set_ambient(const Ambient& ambient) noexcept {
+  t_track = ambient.track;
+  t_virtual_now_us = ambient.virtual_now_us;
+}
+
 const char* to_string(FetchCancelReason reason) noexcept {
   switch (reason) {
     case FetchCancelReason::kMisprediction:
@@ -126,7 +133,11 @@ void Tracer::commit(TraceBuffer& buffer) {
   if (buffer.events_.empty()) {
     return;
   }
-  {
+  expects(t_capture != &buffer, "Tracer::commit: buffer is the active capture");
+  if (t_capture != nullptr) {
+    t_capture->events_.insert(t_capture->events_.end(), buffer.events_.begin(),
+                              buffer.events_.end());
+  } else {
     const LockGuard lock(mutex_);
     for (const TraceBuffer::Pending& pending : buffer.events_) {
       append_locked(pending);

@@ -86,8 +86,11 @@ struct TraceEvent {
 /// Tracer::commit appends them. The scheduler gives every advance item
 /// one buffer and commits them in item order, so leaf events from
 /// concurrently advancing sessions reach the ring in the serial order at
-/// any worker count. Names stay unresolved until commit (they are static
-/// strings), so name interning order is deterministic too.
+/// any worker count. DecodeEngine nests the same scheme one level down:
+/// one buffer per (layer, head) task, committed in head order into the
+/// enclosing item's buffer (or the ring when nothing captures). Names
+/// stay unresolved until commit (they are static strings), so name
+/// interning order is deterministic too.
 class TraceBuffer {
  private:
   friend class Tracer;
@@ -151,6 +154,17 @@ class Tracer {
   /// use kWorkerTrackBase + slot.
   void set_track(std::int64_t track) noexcept;
   [[nodiscard]] std::int64_t track() const noexcept;
+
+  /// The whole ambient context of one thread. A fan-out task that records
+  /// on behalf of its caller copies the caller's ambient() and installs it
+  /// with set_ambient() — an exact copy, where a virtual_now_ms() round
+  /// trip could move the timestamp's last bit.
+  struct Ambient {
+    std::int64_t track = 0;
+    double virtual_now_us = 0.0;
+  };
+  [[nodiscard]] Ambient ambient() const noexcept;
+  void set_ambient(const Ambient& ambient) noexcept;
 
   /// Human-readable track label, exported as Chrome thread-name metadata.
   void set_track_name(std::int64_t track, const std::string& name);
@@ -216,8 +230,14 @@ class Tracer {
     TraceBuffer* previous_;
   };
 
-  /// Appends the buffered events to the ring in recording order and
-  /// empties the buffer; a no-op for an empty buffer.
+  /// Appends the buffered events, in recording order, to the calling
+  /// thread's active capture buffer when a CaptureScope is open, and to
+  /// the ring otherwise; then empties the buffer. A no-op for an empty
+  /// buffer. Capture therefore nests: a fan-out inside a captured item
+  /// (DecodeEngine's per-head tasks inside a scheduler advance item)
+  /// commits its task buffers in task order into the item's buffer, and
+  /// the item's commit carries them to the ring in item order. `buffer`
+  /// must not be the calling thread's active capture buffer.
   void commit(TraceBuffer& buffer);
 
   // ---- inspection / export ----

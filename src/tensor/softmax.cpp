@@ -61,17 +61,15 @@ void attention_output(std::span<const float> scores, std::span<const Index> rows
   }
 }
 
-void attention_output_full(std::span<const float> scores, const Matrix& values,
-                           std::span<float> out) {
-  expects(static_cast<Index>(scores.size()) == values.rows(),
-          "attention_output_full: scores length must equal value rows");
+void weighted_value_sum(std::span<const float> probabilities, const Matrix& values,
+                        std::span<float> out) {
+  expects(static_cast<Index>(probabilities.size()) == values.rows(),
+          "weighted_value_sum: probabilities length must equal value rows");
   expects(static_cast<Index>(out.size()) == values.cols(),
-          "attention_output_full: output width mismatch");
+          "weighted_value_sum: output width mismatch");
   fill(out, 0.0f);
-  std::vector<float> probs(scores.begin(), scores.end());
-  softmax_in_place(probs);
   for (Index r = 0; r < values.rows(); ++r) {
-    axpy(probs[static_cast<std::size_t>(r)], values.row(r), out);
+    axpy(probabilities[static_cast<std::size_t>(r)], values.row(r), out);
   }
 }
 

@@ -25,8 +25,11 @@ double entropy(std::span<const float> probabilities);
 void attention_output(std::span<const float> scores, std::span<const Index> rows,
                       const Matrix& values, std::span<float> out);
 
-/// Full-cache attention output over all rows of values (rows implied 0..N).
-void attention_output_full(std::span<const float> scores, const Matrix& values,
-                           std::span<float> out);
+/// Full-cache attention output from already-normalized attention:
+/// out = sum_r probabilities[r] * values.row(r) over all rows. Callers
+/// softmax the scores themselves, so the same probabilities can also
+/// serve other measurements (attention-mass coverage).
+void weighted_value_sum(std::span<const float> probabilities, const Matrix& values,
+                        std::span<float> out);
 
 }  // namespace ckv

@@ -27,9 +27,16 @@ std::vector<Index> top_k_indices(std::span<const float> scores, Index k) {
     }
     return a < b;
   };
-  std::partial_sort(idx.begin(), idx.begin() + static_cast<std::ptrdiff_t>(k),
-                    idx.end(), greater);
+  // `greater` is a strict total order (distinct indices break every tie),
+  // so the top k and their order are unique: partitioning first and
+  // sorting only the k winners gives partial_sort's exact output at
+  // O(n + k log k) instead of O(n log k).
+  const auto kth = idx.begin() + static_cast<std::ptrdiff_t>(k);
+  if (k > 0 && kth != idx.end()) {
+    std::nth_element(idx.begin(), kth, idx.end(), greater);
+  }
   idx.resize(static_cast<std::size_t>(k));
+  std::sort(idx.begin(), idx.end(), greater);
   return idx;
 }
 

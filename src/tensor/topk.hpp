@@ -11,7 +11,9 @@
 namespace ckv {
 
 /// Indices of the k largest scores, descending by score, ties broken by
-/// smaller index. k is clamped to scores.size().
+/// smaller index. k is clamped to scores.size(). -inf and +inf are
+/// ordinary scores; NaN scores are outside the contract (they break the
+/// comparator's total order, so the result is unspecified).
 std::vector<Index> top_k_indices(std::span<const float> scores, Index k);
 
 /// All indices sorted by descending score (ties by smaller index).

@@ -1,10 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "baselines/full_kv.hpp"
+#include "baselines/h2o.hpp"
+#include "baselines/infinigen.hpp"
 #include "baselines/quest.hpp"
 #include "baselines/streaming_llm.hpp"
 #include "core/clusterkv_engine.hpp"
 #include "model/decode_engine.hpp"
+#include "obs/trace.hpp"
+#include "worker_guard.hpp"
 
 namespace ckv {
 namespace {
@@ -204,6 +214,200 @@ TEST(DecodeEngine, BudgetValidation) {
   config.full_attention_layers = 5;
   EXPECT_THROW(DecodeEngine(model, make_full_kv_factory(), config),
                std::invalid_argument);
+}
+
+// ---- per-head fan-out: bit-identical at any worker count ----
+
+/// Everything observable about one engine run: each step's StepResult,
+/// the engine aggregates, and the trace events the run recorded.
+struct EngineRun {
+  std::vector<StepResult> steps;
+  std::vector<double> aggregates;
+  std::vector<std::int64_t> totals;
+  std::vector<std::string> trace;
+};
+
+struct FanOutCase {
+  const char* name;
+  SelectorFactory factory;
+  bool attention_feedback = false;
+  Index prefill_chunk = 0;  ///< 0 = one-shot run_prefill
+};
+
+std::vector<FanOutCase> fan_out_cases() {
+  ClusterKVConfig repairing = small_ckv();
+  repairing.repair_decode_interval = 4;
+  InfiniGenConfig infinigen;
+  infinigen.partial_dim = 8;
+  infinigen.calibration_tokens = 128;
+  H2OConfig h2o;
+  h2o.budget = 64;
+  return {
+      {"clusterkv", make_clusterkv_factory(small_ckv(), 3)},
+      {"clusterkv-chunked-repair", make_clusterkv_factory(repairing, 3), false, 96},
+      {"quest", make_quest_factory()},
+      {"infinigen", make_infinigen_factory(infinigen)},
+      {"h2o", make_h2o_factory(h2o), true},
+      {"streaming", make_streaming_llm_factory()},
+      {"full", make_full_kv_factory()},
+  };
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+EngineRun run_engine(const FanOutCase& c, int workers) {
+  set_parallel_workers(workers);
+  SimShape shape;
+  shape.num_layers = 2;
+  shape.num_heads = 3;
+  shape.head_dim = 32;
+  shape.queries_per_kv = 2;
+  ProceduralParams params = small_params();
+  params.queries_per_kv = 2;
+  ProceduralContextModel model(shape, params, 21, 420);
+  DecodeEngineConfig config;
+  config.budget = 64;
+  config.full_attention_layers = 1;
+  config.attention_feedback = c.attention_feedback;
+
+  auto& tr = obs::tracer();
+  tr.enable();
+  tr.set_track(5);
+  tr.set_virtual_now_ms(2.5);
+  DecodeEngine engine(model, c.factory, config);
+  if (c.prefill_chunk > 0) {
+    while (!engine.prefilled()) {
+      engine.prefill_chunk(c.prefill_chunk);
+    }
+  } else {
+    engine.run_prefill();
+  }
+  EngineRun run;
+  for (Index s = 0; s < 10; ++s) {
+    tr.set_virtual_now_ms(3.0 + static_cast<double>(s));
+    run.steps.push_back(engine.decode_step(s));
+  }
+  for (const RunningStat* stat :
+       {&engine.recall_stat(), &engine.coverage_stat(), &engine.output_error_stat()}) {
+    run.aggregates.insert(run.aggregates.end(),
+                          {stat->mean(), stat->variance(), stat->min(), stat->max(),
+                           static_cast<double>(stat->count())});
+  }
+  run.aggregates.push_back(engine.mean_recall());
+  run.aggregates.push_back(engine.mean_coverage());
+  run.totals = {engine.total_fetched(), engine.total_cache_hits(),
+                engine.total_prefetch_hits(), engine.total_prefetch_issued(),
+                engine.recall_steps()};
+  for (const obs::TraceEvent& e : tr.events()) {
+    run.trace.push_back(tr.name_of(e.name) + "@" + std::to_string(e.track) + "/" +
+                        std::to_string(bits(e.virtual_us)) + "/" +
+                        std::to_string(e.args[0]) + "," + std::to_string(e.args[1]));
+  }
+  tr.disable();
+  return run;
+}
+
+void expect_bit_equal(const EngineRun& a, const EngineRun& b, const std::string& what) {
+  ASSERT_EQ(a.steps.size(), b.steps.size()) << what;
+  for (std::size_t i = 0; i < a.steps.size(); ++i) {
+    const StepResult& x = a.steps[i];
+    const StepResult& y = b.steps[i];
+    EXPECT_EQ(bits(x.mean_recall), bits(y.mean_recall)) << what << " step " << i;
+    EXPECT_EQ(bits(x.mean_coverage), bits(y.mean_coverage)) << what << " step " << i;
+    EXPECT_EQ(bits(x.mean_output_error), bits(y.mean_output_error))
+        << what << " step " << i;
+    EXPECT_EQ(x.tokens_selected, y.tokens_selected) << what << " step " << i;
+    EXPECT_EQ(x.tokens_fetched, y.tokens_fetched) << what << " step " << i;
+    EXPECT_EQ(x.tokens_cache_hit, y.tokens_cache_hit) << what << " step " << i;
+    EXPECT_EQ(x.tokens_prefetch_hit, y.tokens_prefetch_hit) << what << " step " << i;
+    EXPECT_EQ(x.tokens_prefetch_issued, y.tokens_prefetch_issued)
+        << what << " step " << i;
+    ASSERT_EQ(x.features.size(), y.features.size()) << what << " step " << i;
+    for (std::size_t f = 0; f < x.features.size(); ++f) {
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(x.features[f]),
+                std::bit_cast<std::uint32_t>(y.features[f]))
+          << what << " step " << i << " feature " << f;
+    }
+  }
+  ASSERT_EQ(a.aggregates.size(), b.aggregates.size()) << what;
+  for (std::size_t i = 0; i < a.aggregates.size(); ++i) {
+    EXPECT_EQ(bits(a.aggregates[i]), bits(b.aggregates[i])) << what << " aggregate " << i;
+  }
+  EXPECT_EQ(a.totals, b.totals) << what;
+  EXPECT_EQ(a.trace, b.trace) << what;
+}
+
+// Each (layer, head) is one pool task and the slots are reduced in head
+// order, so nothing a run reports — StepResult fields, features, engine
+// aggregates, trace events — may depend on the worker count. The shape
+// has GQA groups and a full-attention layer, so every reduction path is
+// exercised. Its 6 heads fan out at 1, 2 and 4 workers; at 8 workers they
+// run as a plain head loop with the nested kernels on the pool, which
+// must match too.
+TEST(DecodeEngineFanOut, BitIdenticalAcrossWorkerCounts) {
+  WorkerGuard guard;
+  for (const FanOutCase& c : fan_out_cases()) {
+    const EngineRun serial = run_engine(c, 1);
+    ASSERT_EQ(serial.steps.size(), 10u) << c.name;
+    EXPECT_GT(serial.totals.back(), 0) << c.name << ": no selection-forced step";
+    EXPECT_EQ(serial.steps.front().features.size(), 3u * 2u * 32u) << c.name;
+    if (std::string(c.name).starts_with("clusterkv")) {
+      // Its tiered store records fetch instants from inside head tasks.
+      EXPECT_GT(serial.trace.size(), 6u) << c.name;
+    }
+    for (const int workers : {2, 4, 8}) {
+      expect_bit_equal(serial, run_engine(c, workers),
+                       std::string(c.name) + " @" + std::to_string(workers));
+    }
+  }
+}
+
+/// Returns a fixed index list from select(), whatever the context.
+class FixedSelector final : public KVSelector {
+ public:
+  explicit FixedSelector(std::vector<Index> indices) : indices_(std::move(indices)) {}
+  [[nodiscard]] std::string name() const override { return "Fixed"; }
+  void observe_prefill(const Matrix& keys, const Matrix& /*values*/) override {
+    size_ = keys.rows();
+  }
+  void observe_decode(std::span<const float> /*key*/,
+                      std::span<const float> /*value*/) override {
+    ++size_;
+  }
+  SelectionResult select(std::span<const float> /*query*/, Index /*budget*/) override {
+    SelectionResult result;
+    result.indices = indices_;
+    return result;
+  }
+  [[nodiscard]] Index context_size() const override { return size_; }
+
+ private:
+  std::vector<Index> indices_;
+  Index size_ = 0;
+};
+
+// The engine merges `selected` against the sorted truth set, so a
+// selector that breaks SelectionResult's "ascending, deduplicated"
+// contract is rejected instead of silently miscounting recall.
+TEST(DecodeEngine, RejectsSelectionsBreakingTheContract) {
+  const auto run_with = [](std::vector<Index> indices) {
+    ProceduralContextModel model(small_shape(), small_params(), 8, 200);
+    DecodeEngineConfig config;
+    config.budget = 16;
+    DecodeEngine engine(
+        model,
+        [&indices](Index, Index, Index) {
+          return std::make_unique<FixedSelector>(indices);
+        },
+        config);
+    engine.run_prefill();
+    return engine.decode_step(0);
+  };
+  EXPECT_NO_THROW(run_with({0, 3, 7, 199}));
+  EXPECT_THROW(run_with({3, 0, 7}), std::invalid_argument);    // unsorted
+  EXPECT_THROW(run_with({0, 3, 3, 7}), std::invalid_argument);  // duplicate
+  EXPECT_THROW(run_with({0, 3, 201}), std::invalid_argument);   // past the context
+  EXPECT_THROW(run_with({-1, 3}), std::invalid_argument);       // negative
 }
 
 class BudgetMonotonicity : public ::testing::TestWithParam<std::uint64_t> {};

@@ -114,6 +114,65 @@ TEST(Tracer, ChromeExportIsBalancedJson) {
             std::count(json.begin(), json.end(), ']'));
 }
 
+// Capture nests: head tasks record into their own buffers on pool
+// threads (in whatever order the pool runs them), the caller commits
+// those buffers in head order into its own open capture, and only the
+// outer commit reaches the ring — so the ring holds head order no matter
+// which worker recorded what, or when.
+TEST(Tracer, NestedCaptureCommitsInHeadOrder) {
+  WorkerGuard worker_guard;
+  TracerGuard guard;
+  auto& tr = obs::tracer();
+  tr.enable();
+  set_parallel_workers(4);
+  constexpr Index kHeads = 8;
+  constexpr Index kEventsPerHead = 3;
+  tr.set_track(9);
+  tr.set_virtual_now_ms(4.0);
+  const obs::Tracer::Ambient ambient = tr.ambient();
+
+  obs::TraceBuffer outer;
+  {
+    const obs::Tracer::CaptureScope outer_scope(outer);
+    tr.instant("before");
+    std::vector<obs::TraceBuffer> inner(static_cast<std::size_t>(kHeads));
+    // Highest head first, so even the serial path records out of order.
+    parallel_for(0, kHeads, [&](Index task) {
+      const Index head = kHeads - 1 - task;
+      tr.set_ambient(ambient);
+      const obs::Tracer::CaptureScope inner_scope(inner[static_cast<std::size_t>(head)]);
+      for (Index i = 0; i < kEventsPerHead; ++i) {
+        tr.instant("head", {{"head", head}, {"i", i}});
+      }
+    });
+    EXPECT_EQ(tr.size(), 0u);  // everything is still captured
+    for (obs::TraceBuffer& buffer : inner) {
+      tr.commit(buffer);  // into `outer`, the caller's open capture
+    }
+    EXPECT_EQ(tr.size(), 0u);
+    EXPECT_THROW(tr.commit(outer), std::invalid_argument);  // the active capture
+    tr.instant("after");
+  }
+  EXPECT_EQ(tr.size(), 0u);
+  tr.commit(outer);  // no capture open: into the ring
+
+  const auto events = tr.events();
+  ASSERT_EQ(events.size(), static_cast<std::size_t>(kHeads * kEventsPerHead + 2));
+  EXPECT_EQ(tr.name_of(events.front().name), "before");
+  EXPECT_EQ(tr.name_of(events.back().name), "after");
+  for (Index head = 0; head < kHeads; ++head) {
+    for (Index i = 0; i < kEventsPerHead; ++i) {
+      const auto& e = events[static_cast<std::size_t>(1 + head * kEventsPerHead + i)];
+      EXPECT_EQ(tr.name_of(e.name), "head");
+      EXPECT_EQ(e.args[0], head);
+      EXPECT_EQ(e.args[1], i);
+      // Every task recorded under the caller's exact ambient context.
+      EXPECT_EQ(e.track, 9);
+      EXPECT_EQ(e.virtual_us, 4000.0);
+    }
+  }
+}
+
 TEST(Histogram, BucketBoundsContainRecordedValues) {
   for (const double v : {1e-6, 0.37, 0.5, 1.0, 3.7, 1234.5, 1e9}) {
     obs::Histogram hist;

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
 
 #include "tensor/matrix.hpp"
 #include "tensor/rmsnorm.hpp"
@@ -183,8 +186,10 @@ TEST(Softmax, AttentionOutputMatchesFull) {
   for (auto& s : scores) {
     s = static_cast<float>(rng.normal());
   }
+  std::vector<float> probs = scores;
+  softmax_in_place(probs);
   std::vector<float> full(4);
-  attention_output_full(scores, values, full);
+  weighted_value_sum(probs, values, full);
 
   std::vector<Index> all{0, 1, 2, 3, 4, 5};
   std::vector<float> subset(4);
@@ -208,6 +213,58 @@ TEST(TopK, ClampsK) {
   const std::vector<float> s{1.0f, 2.0f};
   EXPECT_EQ(top_k_indices(s, 10).size(), 2u);
   EXPECT_TRUE(top_k_indices(s, 0).empty());
+}
+
+// top_k_indices partitions with nth_element and sorts only the winners;
+// the comparator is a strict total order, so its output must equal the
+// partial_sort reference exactly — ties, infinities and every k edge case.
+TEST(TopK, MatchesPartialSortReference) {
+  const auto reference = [](const std::vector<float>& scores, Index k) {
+    std::vector<Index> idx(scores.size());
+    std::iota(idx.begin(), idx.end(), Index{0});
+    const auto greater = [&scores](Index a, Index b) {
+      const float sa = scores[static_cast<std::size_t>(a)];
+      const float sb = scores[static_cast<std::size_t>(b)];
+      return sa != sb ? sa > sb : a < b;
+    };
+    std::partial_sort(idx.begin(), idx.begin() + static_cast<std::ptrdiff_t>(k),
+                      idx.end(), greater);
+    idx.resize(static_cast<std::size_t>(k));
+    return idx;
+  };
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  Rng rng(31);
+  std::vector<std::vector<float>> cases = {
+      {},
+      {5.0f},
+      {2.0f, 2.0f, 2.0f, 2.0f, 2.0f},
+      {-kInf, 1.0f, -kInf, kInf, 0.0f, kInf, -kInf},
+      {-kInf, -kInf, -kInf},
+  };
+  for (const Index n : {17, 300, 2048}) {
+    std::vector<float> scores(static_cast<std::size_t>(n));
+    for (float& s : scores) {
+      // Few distinct levels: most scores tie with many others.
+      s = static_cast<float>(rng.uniform_int(0, 9));
+    }
+    scores[static_cast<std::size_t>(n / 2)] = -kInf;
+    scores[static_cast<std::size_t>(n / 3)] = kInf;
+    cases.push_back(scores);
+    for (float& s : scores) {
+      s = static_cast<float>(rng.normal());
+    }
+    cases.push_back(scores);
+  }
+  for (const auto& scores : cases) {
+    const auto n = static_cast<Index>(scores.size());
+    for (const Index k : {Index{0}, Index{1}, n / 2, n - 1, n}) {
+      if (k < 0 || k > n) {
+        continue;
+      }
+      EXPECT_EQ(top_k_indices(scores, k), reference(scores, k))
+          << "n=" << n << " k=" << k;
+    }
+  }
 }
 
 TEST(TopK, ArgsortBothDirections) {
