@@ -185,8 +185,7 @@ int main() {
                    format_double(step.transfer_ms, 2)});
   }
   std::cout << quant.to_string();
-  std::cout << "quantizing fetches halves the miss penalty; "
-               "kvcache/quantization bounds the score error (see tests).\n";
+  std::cout << "quantizing fetches halves the miss penalty.\n";
   std::cout << "\n[ablations done in " << format_double(watch.seconds(), 1) << "s]\n";
   return 0;
 }

@@ -58,7 +58,6 @@
 #include "serve/trace.hpp"
 #include "sim/latency_model.hpp"
 #include "util/args.hpp"
-#include "util/parallel.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -806,90 +805,17 @@ ServingRow make_serving_row(const std::string& name, double load,
   return row;
 }
 
-/// Wall-time speedup of the parallel tick, measured where it can show:
-/// the whole fleet decoding concurrently under an unlimited budget (the
-/// capped table cells spend much of their time in contended single-item
-/// waves, which is the point — byte-identity outranks speed there).
-struct FanoutScaling {
-  double serial_advance_wall_ms = 0.0;
-  double parallel_advance_wall_ms = 0.0;
-  double speedup = 0.0;
-  double fanout_fraction = 0.0;
-  int workers = 0;
-  unsigned hw_cores = 0;  ///< physical ceiling on any measured speedup
-};
-
-FanoutScaling run_fanout_scaling(const ServingSetup& setup,
-                                 const LatencyModel& latency) {
-  TraceConfig trace_config = setup.trace;
-  trace_config.offered_rps = 1000.0;  // the fleet arrives at once
-  trace_config.decode_len_min = 48;   // decode-heavy: many full-width ticks
-  trace_config.decode_len_max = 64;
-  const auto trace = make_poisson_trace(trace_config, setup.seed);
-
-  ClusterKVConfig ckv = setup.clusterkv;
-  ckv.prefetch_clusters = kPrefetchClusters;
-  ckv.prefetch_prior_weight = kPrefetchPriorWeight;
-  ckv.prefetch_prior_decay = kPrefetchPriorDecay;
-  BatchSchedulerConfig config;
-  config.method = LatencyModel::Method::kClusterKV;
-  config.tiered_residency = true;
-  config.sink_tokens = ckv.sink_tokens;
-  config.decode_interval = ckv.decode_interval;
-  config.cache_depth = ckv.cache_depth;
-  config.tokens_per_cluster = ckv.tokens_per_cluster;
-  config.prefill_chunk_tokens = 256;
-  config.repair_refine_iterations = ckv.repair_refine_iterations;
-  config.repair_decode_interval = ckv.repair_decode_interval;
-  config.prefetch_clusters = kPrefetchClusters;
-  config.fast_tier_budget_bytes = 0;  // unlimited: whole-batch waves
-
-  const auto run_once = [&](bool parallel_tick) {
-    BatchSchedulerConfig c = config;
-    c.parallel_tick = parallel_tick;
-    BatchScheduler scheduler(trace, make_clusterkv_factory(ckv, setup.seed),
-                             setup.session, latency, c);
-    scheduler.run();
-    return std::make_tuple(scheduler.metrics().advance_wall_ms_total(),
-                           scheduler.metrics().fanout_fraction(),
-                           scheduler.metrics().throughput_tps(),
-                           scheduler.metrics().mean_recall());
-  };
-  const auto [serial_wall, serial_fanout, serial_tps, serial_recall] =
-      run_once(false);
-  const auto [parallel_wall, parallel_fanout, parallel_tps, parallel_recall] =
-      run_once(true);
-  if (serial_tps != parallel_tps || serial_recall != parallel_recall) {
-    std::cerr << "  [fanout] WARNING: quality drifted between serial and "
-                 "parallel ticks (tok/s "
-              << serial_tps << " vs " << parallel_tps << ", recall "
-              << serial_recall << " vs " << parallel_recall << ")\n";
-  }
-  FanoutScaling out;
-  out.serial_advance_wall_ms = serial_wall;
-  out.parallel_advance_wall_ms = parallel_wall;
-  out.speedup = parallel_wall > 0.0 ? serial_wall / parallel_wall : 0.0;
-  out.fanout_fraction = parallel_fanout;
-  out.workers = parallel_worker_count();
-  out.hw_cores = std::thread::hardware_concurrency();
-  (void)serial_fanout;
-  return out;
-}
-
 std::string json_number(double v) {
   std::ostringstream s;
   s << v;
   return s.str();
 }
 
-/// The "rows" array carries only virtual-clock quality/billing columns —
-/// CI byte-diffs it across worker counts. Wall-clock facts (the fan-out
-/// scaling measurement) live in the separate "fanout" object so the
-/// determinism contract never sees a host timestamp.
+/// Every array carries only virtual-clock quality/billing columns — CI
+/// byte-diffs them across worker counts, so no host timestamp belongs here.
 void write_json(const std::vector<ServingRow>& rows,
                 const std::vector<ServingRow>& sweep,
-                const std::vector<FaultRow>& fault_rows,
-                const FanoutScaling& scaling, const std::string& path) {
+                const std::vector<FaultRow>& fault_rows, const std::string& path) {
   std::ofstream out(path);
   out << "{\n  \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -938,11 +864,11 @@ void write_json(const std::vector<ServingRow>& rows,
         << ", \"p95_itl_ms\": " << json_number(r.p95_itl_ms) << "}"
         << (i + 1 < sweep.size() ? "," : "") << "\n";
   }
-  out << "  ],\n";
+  out << "  ]";
   // Only present under --faults, so the fault-free JSON stays byte-for-byte
   // what it was before fault injection existed.
   if (!fault_rows.empty()) {
-    out << "  \"fault_rows\": [\n";
+    out << ",\n  \"fault_rows\": [\n";
     for (std::size_t i = 0; i < fault_rows.size(); ++i) {
       const FaultRow& r = fault_rows[i];
       out << "    {\"load_rps\": " << json_number(r.load)
@@ -961,17 +887,9 @@ void write_json(const std::vector<ServingRow>& rows,
           << ", \"recall_at_b\": " << json_number(r.recall) << "}"
           << (i + 1 < fault_rows.size() ? "," : "") << "\n";
     }
-    out << "  ],\n";
+    out << "  ]";
   }
-  out << "  \"fanout\": {\"workers\": " << scaling.workers
-      << ", \"hw_cores\": " << scaling.hw_cores
-      << ", \"serial_advance_wall_ms\": "
-      << json_number(scaling.serial_advance_wall_ms)
-      << ", \"parallel_advance_wall_ms\": "
-      << json_number(scaling.parallel_advance_wall_ms)
-      << ", \"speedup\": " << json_number(scaling.speedup)
-      << ", \"fanout_fraction\": " << json_number(scaling.fanout_fraction)
-      << "}\n}\n";
+  out << "\n}\n";
 }
 
 }  // namespace
@@ -1153,21 +1071,6 @@ int main(int argc, char** argv) {
   }
   std::cout << table.to_string();
 
-  const FanoutScaling scaling = run_fanout_scaling(setup, latency);
-  std::cout << "\nFan-out scaling (" << setup.trace.num_requests
-            << " concurrent sessions, unlimited budget, " << scaling.workers
-            << " workers on " << scaling.hw_cores
-            << " hardware cores): advance phase "
-            << format_double(scaling.serial_advance_wall_ms, 0)
-            << " ms serial -> "
-            << format_double(scaling.parallel_advance_wall_ms, 0)
-            << " ms parallel, " << format_double(scaling.speedup, 2)
-            << "x wall speedup at "
-            << format_double(scaling.fanout_fraction, 2)
-            << " fan-out fraction (quality byte-identical by construction; "
-               "host clock, not part of the determinism contract — the "
-               "speedup ceiling is the hardware core count)\n";
-
   // Link-bandwidth sweep: the engine row at the top load across a range of
   // wire rates. The whole point of modeling the wire explicitly — the same
   // fleet degrades as the shared link narrows, which no closed-form
@@ -1243,7 +1146,7 @@ int main(int argc, char** argv) {
   }
 
   if (args.get_switch("json")) {
-    write_json(rows, sweep_rows, fault_rows, scaling, "BENCH_SERVING.json");
+    write_json(rows, sweep_rows, fault_rows, "BENCH_SERVING.json");
     std::cout << "wrote BENCH_SERVING.json\n";
   }
   return 0;

@@ -52,8 +52,8 @@ struct TransferStats {
 /// `total_bytes()`, not just what already landed.
 ///
 /// Counters are atomic because one ledger may be shared by selectors whose
-/// heads run concurrently on the worker pool (TinyTransformer's per-head
-/// region); relaxed ordering suffices — additions are commutative, and
+/// heads run concurrently on the worker pool (DecodeEngine's per-head
+/// fan-out); relaxed ordering suffices — additions are commutative, and
 /// readers (the scheduler tick) only run between parallel regions.
 class FastTierLedger {
  public:

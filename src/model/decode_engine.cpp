@@ -53,11 +53,12 @@ void DecodeEngine::for_each_head(const std::function<void(Index, Index)>& body) 
   const Index layers = model_.shape().num_layers;
   const Index heads = model_.shape().num_heads;
   const Index tasks = layers * heads;
-  if (tasks < parallel_worker_count()) {
-    // Fewer heads than workers: a task per head would idle the spare
-    // workers and serialize the kernels nested in each head, so the heads
-    // run in order on the caller and those kernels keep the whole pool.
-    // Same results and the same trace events as the fan-out.
+  const int workers = parallel_worker_count();
+  if (workers == 1 || tasks < workers) {
+    // One worker, or fewer heads than workers: a task per head would idle
+    // the spare workers and serialize the kernels nested in each head, so
+    // the heads run in order on the caller and those kernels keep the
+    // whole pool. Same results and the same trace events as the fan-out.
     for (Index l = 0; l < layers; ++l) {
       for (Index h = 0; h < heads; ++h) {
         body(l, h);

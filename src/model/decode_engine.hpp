@@ -41,9 +41,9 @@ struct StepResult {
 
 /// Head fan-out and its reduction contract. run_prefill, prefill_chunk and
 /// decode_step each run one pool task per (layer, head) over the
-/// flattened layer-major range (parallel_for) when layers x heads is at
-/// least the worker count; with fewer heads than workers they run the
-/// heads in order on the caller instead, so the kernels inside each head
+/// flattened layer-major range (parallel_for) when there is more than one
+/// worker and layers x heads is at least the worker count; otherwise they
+/// run the heads in order on the caller, so the kernels inside each head
 /// keep the whole pool. A task does all of one head's work — its
 /// HeadStream, its selector's observe/select calls, the exact attention
 /// and the quality measurement — and writes only into that head's own
@@ -138,7 +138,7 @@ class DecodeEngine {
 
   /// Runs body(layer, head) for every head as one pool task each, then
   /// commits the tasks' trace buffers in head order; in a plain head loop
-  /// when there are fewer heads than workers (class comment).
+  /// with one worker or fewer heads than workers (class comment).
   void for_each_head(const std::function<void(Index, Index)>& body);
 
   /// All of one head's decode-step work; writes only `out` and, on the

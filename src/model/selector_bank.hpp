@@ -1,5 +1,5 @@
 // A (layer x head) grid of per-head selector instances created from one
-// SelectorFactory — shared by the decode engine and the tiny transformer.
+// SelectorFactory, owned by the decode engine.
 #pragma once
 
 #include <memory>

@@ -704,14 +704,7 @@ void BatchScheduler::commit_item(AdvanceItem& item, double completed_ms) {
   }
 }
 
-bool BatchScheduler::tick() {
-  // The tick body IS the serial phase; the only escape is the wave
-  // fan-out below, whose lambda runs advance_item (unannotated on
-  // purpose — see batch_scheduler.hpp) on pool workers.
-  const ExclusiveLock serial(serial_phase_);
-  if (running_.empty() && queue_.empty()) {
-    return false;
-  }
+double BatchScheduler::begin_tick() {
   if (running_.empty() && !queue_.has_arrival(now_ms_)) {
     now_ms_ = queue_.next_arrival_ms();  // idle: jump to the next arrival
     if (transfer_engine_ != nullptr) {
@@ -738,313 +731,335 @@ bool BatchScheduler::tick() {
 
   // Brownout sampling: one link-rate factor per tick, sampled at the tick's
   // opening timestamp on the virtual clock. The same factor scales the
-  // contended-stall billing below and the engine's drain rate for this
-  // tick's window, so billed time and modeled wire time degrade together.
+  // contended-stall billing in plan_tick and the engine's drain rate for
+  // this tick's window, so billed time and modeled wire time degrade
+  // together.
   const double link_rate_factor =
       fault_injector_ != nullptr ? fault_injector_->rate_factor_at(now_ms_) : 1.0;
   if (fault_injector_ != nullptr && transfer_engine_ != nullptr) {
     transfer_engine_->set_rate_factor(link_rate_factor);
   }
+  return link_rate_factor;
+}
 
-  // Partition the batch: prefilling sessions each consume one prompt
-  // chunk this tick, decoding sessions each run one step (round-robin so
-  // retirement churn cannot starve anyone).
-  std::vector<Session*> prefillers;
-  std::vector<Session*> decoders;
-  const Index batch = static_cast<Index>(running_.size());
-  for (Index i = 0; i < batch; ++i) {
-    Session* session = running_[(round_robin_offset_ + i) % batch].get();
-    if (session->state() == SessionState::kPrefilling) {
-      prefillers.push_back(session);
-    } else {
-      decoders.push_back(session);
+FaultInjector::FetchOutcome BatchScheduler::roll_fetch_fault(Session& decoder) {
+  // Retries bill their backoff into the tick; a dead fetch (retries
+  // exhausted or deadline blown) flips the session's selectors into
+  // resident-only degraded mode for exactly this step, and its demand
+  // traffic never reaches the wire.
+  if (fault_injector_ == nullptr) {
+    return {};
+  }
+  const FaultInjector::FetchOutcome fault =
+      fault_injector_->fetch_outcome(decoder.request().id, decoder.tokens_generated());
+  if (fault.retries > 0 || fault.dead) {
+    decoder.note_fault_retries(fault.retries, fault.penalty_ms);
+    metrics_.record_fault_fetch(fault.retries, fault.penalty_ms, fault.dead);
+    auto& tr = obs::tracer();
+    const std::int64_t track = session_track(decoder);
+    if (fault.retries > 0) {
+      tr.instant_at("fault-retry", track, now_ms_,
+                    {{"attempts", fault.retries},
+                     {"penalty_us", static_cast<Index>(fault.penalty_ms * 1000.0)}});
+    }
+    if (fault.dead) {
+      decoder.note_dead_fetch();
+      decoder.set_degraded_step(true);
+      tr.instant_at("fault-dead-fetch", track, now_ms_,
+                    {{"token", decoder.tokens_generated()}});
     }
   }
+  return fault;
+}
 
-  if (batch > 0) {
-    // Mixed prefill+decode billing. Decoders share one weight pass and one
-    // framework overhead per tick — the continuous-batching economy — and
-    // each adds its private KV-read / selection / transfer cost. Prefill
-    // chunks are compute-bound GEMM + causal-prefix attention (their
-    // weight traffic rides the batch's shared pass), billed per chunk so a
-    // long prompt stalls the batch by at most one chunk per tick.
-    double tick_ms = 0.0;
-    double repair_ms = 0.0;
-    double decode_ms = 0.0;  // decode share of tick_ms (phase sub-span)
-    const bool repair_billed = config_.method == LatencyModel::Method::kClusterKV &&
-                               config_.repair_refine_iterations > 0;
-    // Engine-mode demand billing: the wire serves one contended queue, so
-    // a decoder's stall is the completion time of the backlog plus every
-    // demand request at or ahead of its position — later decoders wait
-    // longer, which is exactly how fleet contention becomes visible. The
-    // tick bills the queue's makespan (the last decoder's stall) once; the
-    // per-decoder stalls feed the metrics. All inputs are pre-advance
-    // state, keeping the pre-pass a pure function of the schedule.
-    double demand_bytes_ahead =
-        transfer_engine_ != nullptr
-            ? transfer_engine_->queued_bytes(TransferEngine::Priority::kDemand)
-            : 0.0;
-    double demand_stall_tail_ms = 0.0;
-    for (std::size_t i = 0; i < decoders.size(); ++i) {
-      const StepBreakdown b = step_cost(*decoders[i]);
-      if (i == 0) {
-        tick_ms += b.weights_ms + b.overhead_ms;
-      }
-      tick_ms += b.total_ms() - b.weights_ms - b.overhead_ms;
-      // Fault pre-pass: roll this decoder's demand-fetch outcome for the
-      // step it is about to take. Retries bill their backoff into the tick;
-      // a dead fetch (retries exhausted or deadline blown) flips the
-      // session's selectors into resident-only degraded mode for exactly
-      // this step, and its demand traffic never reaches the wire.
-      FaultInjector::FetchOutcome fault;
-      if (fault_injector_ != nullptr) {
-        fault = fault_injector_->fetch_outcome(decoders[i]->request().id,
-                                               decoders[i]->tokens_generated());
-        if (fault.retries > 0 || fault.dead) {
-          tick_ms += fault.penalty_ms;
-          decoders[i]->note_fault_retries(fault.retries, fault.penalty_ms);
-          metrics_.record_fault_fetch(fault.retries, fault.penalty_ms, fault.dead);
-          const std::int64_t track = session_track(*decoders[i]);
-          if (fault.retries > 0) {
-            tr.instant_at("fault-retry", track, now_ms_,
-                          {{"attempts", fault.retries},
-                           {"penalty_us",
-                            static_cast<Index>(fault.penalty_ms * 1000.0)}});
-          }
-          if (fault.dead) {
-            decoders[i]->note_dead_fetch();
-            decoders[i]->set_degraded_step(true);
-            tr.instant_at("fault-dead-fetch", track, now_ms_,
-                          {{"token", decoders[i]->tokens_generated()}});
-          }
-        }
-      }
-      if (transfer_engine_ != nullptr) {
-        if (!fault.dead) {
-          demand_bytes_ahead += projected_demand_bytes(*decoders[i]);
-        }
-        const double stall_ms = latency_.contended_fetch_ms(
-            demand_bytes_ahead, transfer_link_gbps_ * link_rate_factor);
-        metrics_.record_demand_stall(stall_ms);
-        demand_stall_tail_ms = stall_ms;
-      }
-      if (repair_billed && config_.repair_decode_interval > 0 &&
-          (decoders[i]->tokens_generated() + 1) % config_.repair_decode_interval == 0) {
-        // Periodic decode-side repair pass (mirrors the engine's trigger in
-        // observe_decode); overlappable compute like prefill clustering. A
-        // pass can only do work once a decode flush has registered a new
-        // clustering batch since the last pass (repair collapses batches
-        // to one), so billing is capped at one pass per decode-interval
-        // flush — a repair interval finer than the flush cadence must not
-        // charge phantom passes for the engine's immediate no-op returns.
-        const Index generated = decoders[i]->tokens_generated() + 1;
-        const Index flush_every = std::max<Index>(1, config_.decode_interval);
-        const bool flushed_since_last_pass =
-            generated / flush_every >
-            (generated - config_.repair_decode_interval) / flush_every;
-        if (flushed_since_last_pass) {
-          const Index context = decoders[i]->request().prompt_len + generated;
-          repair_ms += latency_.repair_ms(context, config_.repair_refine_iterations,
-                                          config_.tokens_per_cluster);
-        }
-      }
-    }
-    tick_ms += demand_stall_tail_ms;
-    decode_ms = tick_ms;
-    std::vector<Index> chunks(prefillers.size(), 0);
-    for (std::size_t i = 0; i < prefillers.size(); ++i) {
-      chunks[i] = next_chunk_tokens(*prefillers[i]);
-      tick_ms += prefill_chunk_cost_ms(*prefillers[i], chunks[i]);
-      const Index prompt_len = prefillers[i]->request().prompt_len;
-      const bool final_chunk =
-          prefillers[i]->prefill_tokens_done() + chunks[i] == prompt_len;
-      if (config_.method == LatencyModel::Method::kClusterKV && final_chunk) {
-        const PrefillFlushPlan plan = prefill_flush_plan(prompt_len);
-        if (plan.tail_folds) {
-          // End-of-prompt tail fold: the engine re-clusters the preceding
-          // batch together with the short tail; bill that window's k-means
-          // again (the per-chunk clustering bill above only covered the
-          // tail's own tokens).
-          tick_ms += latency_.clustering_visible_overhead_ms(std::min<Index>(
-              prompt_len,
-              std::max(config_.prefill_chunk_tokens, config_.tokens_per_cluster) +
-                  chunks[i]));
-        }
-        if (repair_billed && plan.batches >= 2) {
-          // The post-prefill repair pass only does work when prefill
-          // registered at least two clustering batches (a single batch —
-          // inline prefill, short prompts, or a folded tail — makes the
-          // engine's pass a no-op; bill nothing then).
-          repair_ms += latency_.repair_ms(prompt_len, config_.repair_refine_iterations,
-                                          config_.tokens_per_cluster);
-        }
-      }
-    }
-    const double prefill_ms = tick_ms - decode_ms;
-    tick_ms += repair_ms;
-    metrics_.record_repair(repair_ms);
+double BatchScheduler::decode_repair_ms(const Session& decoder) const {
+  // Periodic decode-side repair pass (mirrors the engine's trigger in
+  // observe_decode); overlappable compute like prefill clustering. A
+  // pass can only do work once a decode flush has registered a new
+  // clustering batch since the last pass (repair collapses batches to
+  // one), so billing is capped at one pass per decode-interval flush — a
+  // repair interval finer than the flush cadence must not charge phantom
+  // passes for the engine's immediate no-op returns.
+  const Index generated = decoder.tokens_generated() + 1;
+  if (config_.repair_decode_interval <= 0 ||
+      generated % config_.repair_decode_interval != 0) {
+    return 0.0;
+  }
+  const Index flush_every = std::max<Index>(1, config_.decode_interval);
+  const bool flushed_since_last_pass =
+      generated / flush_every >
+      (generated - config_.repair_decode_interval) / flush_every;
+  if (!flushed_since_last_pass) {
+    return 0.0;
+  }
+  return latency_.repair_ms(decoder.request().prompt_len + generated,
+                            config_.repair_refine_iterations,
+                            config_.tokens_per_cluster);
+}
 
-    const double completed_ms = now_ms_ + tick_ms;
-    if (tr.enabled()) {
-      // The tick span and its phase sub-spans reproduce the paper's
-      // latency breakdown on the virtual clock: decode, then prefill
-      // chunks, then repair, laid out sequentially inside the tick.
-      tr.begin_at("tick", 0, now_ms_,
-                  {{"batch", batch}, {"queued", queue_.size()}});
-      // The last phase must end at exactly completed_ms (the tick E's
-      // timestamp): summing the phase durations incrementally drifts in
-      // the low bits relative to now_ms_ + tick_ms, and an end a few ulps
-      // past the tick E sorts after it, unbalancing the span stack.
-      double phase_t = now_ms_;
-      if (!decoders.empty()) {
-        const bool last = prefillers.empty() && repair_ms <= 0.0;
-        const double end = last ? completed_ms : phase_t + decode_ms;
-        tr.begin_at("decode-phase", 0, phase_t,
-                    {{"decoders", static_cast<Index>(decoders.size())}});
-        tr.end_at("decode-phase", 0, end);
-        phase_t = end;
-      }
-      if (!prefillers.empty()) {
-        const bool last = repair_ms <= 0.0;
-        const double end = last ? completed_ms : phase_t + prefill_ms;
-        tr.begin_at("prefill-phase", 0, phase_t,
-                    {{"prefillers", static_cast<Index>(prefillers.size())}});
-        tr.end_at("prefill-phase", 0, end);
-        phase_t = end;
-      }
-      if (repair_ms > 0.0) {
-        tr.begin_at("repair-phase", 0, phase_t);
-        tr.end_at("repair-phase", 0, completed_ms);
-      }
-    }
-    // Leaf instrumentation (tiered-store fetch events) records against the
-    // ambient context: the tick's completion time, the acting session's
-    // track. The context is thread-local, so pool workers scope their own
-    // events without racing the scheduler thread.
-    tr.set_virtual_now_ms(completed_ms);
-
-    // Advancement order is fixed (prefillers, then decoders, both in
-    // round-robin order) — identical to the serial scheduler. Pre-step
-    // state is captured up front: commit-phase accounting must see what
-    // the serial scheduler's sequence point would have seen.
-    std::vector<AdvanceItem> items;
-    items.reserve(prefillers.size() + decoders.size());
-    for (std::size_t i = 0; i < prefillers.size(); ++i) {
-      AdvanceItem item;
-      item.session = prefillers[i];
-      item.prefilling = true;
-      item.chunk = chunks[i];
-      items.push_back(item);
-    }
-    for (Session* session : decoders) {
-      AdvanceItem item;
-      item.session = session;
-      item.pre_last_step_ms = session->last_step_ms();
-      item.pre_first_token_ms = session->first_token_ms();
-      items.push_back(item);
-    }
-
-    // Wave fan-out: repeatedly take the longest prefix of un-advanced
-    // items whose summed worst-case byte growth provably fits the budget
-    // headroom. Inside such a wave every per-session enforcement
-    // checkpoint is silent, so session order cannot matter — the wave
-    // runs concurrently on the worker pool, then its commit phase (trace
-    // edges, metrics, the enforcement checkpoints themselves) replays in
-    // the exact serial order. When the guard admits at most one item the
-    // scheduler degenerates to the literal serial step+commit
-    // interleaving, preserving byte-identity under contention too.
-    // Wall-clock here measures host speedup only; every billed duration
-    // stays on the virtual clock (docs/PERFORMANCE.md determinism
-    // contract), so this read cannot leak into any deterministic output.
-    // ckv-lint: allow(wall-clock) -- advance_wall_ms is a host-side metric
-    const auto wall_begin = std::chrono::steady_clock::now();
-    // The fan-out lambda must not touch serial-phase state (clang enforces
-    // it); the tick's start time crosses the boundary by value.
-    const double tick_begin_ms = now_ms_;
-    Index fanned_out = 0;
-    std::size_t next = 0;
-    while (next < items.size()) {
-      std::size_t wave_end = next;
-      if (config_.parallel_tick) {
-        if (config_.fast_tier_budget_bytes == 0) {
-          wave_end = items.size();  // unlimited budget: one wave, no guard
-        } else {
-          std::int64_t headroom =
-              config_.fast_tier_budget_bytes - fast_tier_bytes_locked();
-          while (wave_end < items.size()) {
-            const std::int64_t bound = advance_growth_bound_bytes(items[wave_end]);
-            if (bound > headroom) {
-              break;
-            }
-            headroom -= bound;
-            ++wave_end;
-          }
-        }
-      }
-      if (wave_end <= next + 1) {
-        // Contended (or parallel_tick off): advance one item and commit it
-        // immediately — the pre-fan-out serial path, verbatim.
-        advance_item(items[next], completed_ms);
-        tr.set_virtual_now_ms(completed_ms);
-        commit_item(items[next], completed_ms);
-        ++next;
+BatchScheduler::TickPlan BatchScheduler::plan_tick(double link_rate_factor) {
+  TickPlan plan;
+  plan.batch = static_cast<Index>(running_.size());
+  // Partition the batch: prefilling sessions each consume one prompt
+  // chunk this tick, decoding sessions each run one step, both in
+  // round-robin order so retirement churn cannot starve anyone. Pre-step
+  // state is captured here, before anything advances: commit-phase
+  // accounting must see what the serial scheduler's sequence point saw.
+  plan.items.reserve(running_.size());
+  for (const bool prefilling : {true, false}) {
+    for (Index i = 0; i < plan.batch; ++i) {
+      Session* session = running_[(round_robin_offset_ + i) % plan.batch].get();
+      if ((session->state() == SessionState::kPrefilling) != prefilling) {
         continue;
       }
-      const std::size_t wave_begin_i = next;
-      parallel_for_range(
-          static_cast<Index>(wave_begin_i), static_cast<Index>(wave_end),
-          /*grain=*/1, [&](Index chunk_begin, Index chunk_end) {
-            // Workers trace their occupancy on dedicated tracks so a
-            // Perfetto view shows the fan-out's shape; the advance span
-            // covers the tick's virtual window. grain 1 means inner
-            // engine parallel_for calls self-serialize instead of
-            // re-entering the pool.
-            auto& wtr = obs::tracer();
-            const int slot = parallel_worker_slot();
-            const std::int64_t worker_track = obs::kWorkerTrackBase + slot;
-            for (Index i = chunk_begin; i < chunk_end; ++i) {
-              if (wtr.enabled()) {
-                wtr.set_track_name(worker_track,
-                                   "worker " + std::to_string(slot));
-                wtr.begin_at("advance", worker_track, tick_begin_ms,
-                             {{"session", items[i].session->request().id}});
-              }
-              advance_item(items[i], completed_ms);
-              if (wtr.enabled()) {
-                wtr.end_at("advance", worker_track, completed_ms);
-              }
-            }
-          });
-      fanned_out += static_cast<Index>(wave_end - wave_begin_i);
-      // The caller participated in the wave and its thread-local tracer
-      // context now points at the last session it stepped — restore it.
-      tr.set_virtual_now_ms(completed_ms);
-      for (std::size_t i = wave_begin_i; i < wave_end; ++i) {
-        commit_item(items[i], completed_ms);
+      AdvanceItem& item = plan.items.emplace_back();
+      item.session = session;
+      item.prefilling = prefilling;
+      if (prefilling) {
+        item.chunk = next_chunk_tokens(*session);
+      } else {
+        item.pre_last_step_ms = session->last_step_ms();
+        item.pre_first_token_ms = session->first_token_ms();
       }
-      next = wave_end;
     }
-    // ckv-lint: allow(wall-clock) -- closes the host-side metric above
-    const double advance_wall_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - wall_begin)
-            .count();
-    metrics_.record_advance_wall(advance_wall_ms, fanned_out,
-                                 static_cast<Index>(items.size()));
-    tr.set_track(0);
-    tr.end_at("tick", 0, completed_ms);
-    if (transfer_engine_ != nullptr) {
-      // Spend the tick's wire capacity on everything queued (including the
-      // demand and speculation the commit phase just enqueued — those
-      // copies overlapped the step compute the tick billed).
-      drain_transfer_engine(completed_ms);
+    if (prefilling) {
+      plan.prefillers = static_cast<Index>(plan.items.size());
     }
-    now_ms_ = completed_ms;
-    round_robin_offset_ = (round_robin_offset_ + 1) % batch;
-    metrics_.record_tick(tick_ms, batch, queue_.size());
   }
+  const auto first_decoder = static_cast<std::size_t>(plan.prefillers);
 
-  retire_finished();
+  // Mixed prefill+decode billing. Decoders share one weight pass and one
+  // framework overhead per tick — the continuous-batching economy — and
+  // each adds its private KV-read / selection / transfer cost. Prefill
+  // chunks are compute-bound GEMM + causal-prefix attention (their weight
+  // traffic rides the batch's shared pass), billed per chunk so a long
+  // prompt stalls the batch by at most one chunk per tick. The sums run in
+  // a fixed order (decoders, stall tail, prefill chunks, repair) so
+  // tick_ms is the same double on every run.
+  const bool repair_billed = config_.method == LatencyModel::Method::kClusterKV &&
+                             config_.repair_refine_iterations > 0;
+  // Engine-mode demand billing: the wire serves one contended queue, so a
+  // decoder's stall is the completion time of the backlog plus every
+  // demand request at or ahead of its position — later decoders wait
+  // longer, which is exactly how fleet contention becomes visible. The
+  // tick bills the queue's makespan (the last decoder's stall) once; the
+  // per-decoder stalls feed the metrics.
+  double demand_bytes_ahead =
+      transfer_engine_ != nullptr
+          ? transfer_engine_->queued_bytes(TransferEngine::Priority::kDemand)
+          : 0.0;
+  double demand_stall_tail_ms = 0.0;
+  for (std::size_t i = first_decoder; i < plan.items.size(); ++i) {
+    Session& decoder = *plan.items[i].session;
+    const StepBreakdown b = step_cost(decoder);
+    if (i == first_decoder) {
+      plan.tick_ms += b.weights_ms + b.overhead_ms;
+    }
+    plan.tick_ms += b.total_ms() - b.weights_ms - b.overhead_ms;
+    // Fault pre-pass; penalty_ms is 0 unless the fetch retried.
+    const FaultInjector::FetchOutcome fault = roll_fetch_fault(decoder);
+    plan.tick_ms += fault.penalty_ms;
+    if (transfer_engine_ != nullptr) {
+      if (!fault.dead) {
+        demand_bytes_ahead += projected_demand_bytes(decoder);
+      }
+      const double stall_ms = latency_.contended_fetch_ms(
+          demand_bytes_ahead, transfer_link_gbps_ * link_rate_factor);
+      metrics_.record_demand_stall(stall_ms);
+      demand_stall_tail_ms = stall_ms;
+    }
+    if (repair_billed) {
+      plan.repair_ms += decode_repair_ms(decoder);
+    }
+  }
+  plan.tick_ms += demand_stall_tail_ms;
+  plan.decode_ms = plan.tick_ms;
+  for (std::size_t i = 0; i < first_decoder; ++i) {
+    const Session& prefiller = *plan.items[i].session;
+    const Index chunk = plan.items[i].chunk;
+    plan.tick_ms += prefill_chunk_cost_ms(prefiller, chunk);
+    const Index prompt_len = prefiller.request().prompt_len;
+    const bool final_chunk = prefiller.prefill_tokens_done() + chunk == prompt_len;
+    if (config_.method != LatencyModel::Method::kClusterKV || !final_chunk) {
+      continue;
+    }
+    const PrefillFlushPlan flush = prefill_flush_plan(prompt_len);
+    if (flush.tail_folds) {
+      // End-of-prompt tail fold: the engine re-clusters the preceding
+      // batch together with the short tail; bill that window's k-means
+      // again (the per-chunk clustering bill above only covered the tail's
+      // own tokens).
+      plan.tick_ms += latency_.clustering_visible_overhead_ms(std::min<Index>(
+          prompt_len,
+          std::max(config_.prefill_chunk_tokens, config_.tokens_per_cluster) +
+              chunk));
+    }
+    if (repair_billed && flush.batches >= 2) {
+      // The post-prefill repair pass only does work when prefill
+      // registered at least two clustering batches (a single batch —
+      // inline prefill, short prompts, or a folded tail — makes the
+      // engine's pass a no-op; bill nothing then).
+      plan.repair_ms += latency_.repair_ms(prompt_len, config_.repair_refine_iterations,
+                                           config_.tokens_per_cluster);
+    }
+  }
+  plan.prefill_ms = plan.tick_ms - plan.decode_ms;
+  plan.tick_ms += plan.repair_ms;
+  metrics_.record_repair(plan.repair_ms);
+  plan.completed_ms = now_ms_ + plan.tick_ms;
+  return plan;
+}
+
+void BatchScheduler::trace_tick(const TickPlan& plan) {
+  auto& tr = obs::tracer();
+  if (!tr.enabled()) {
+    return;
+  }
+  // The tick span and its phase sub-spans reproduce the paper's latency
+  // breakdown on the virtual clock: decode, then prefill chunks, then
+  // repair, laid out sequentially inside the tick.
+  tr.begin_at("tick", 0, now_ms_, {{"batch", plan.batch}, {"queued", queue_.size()}});
+  // The last phase must end at exactly completed_ms (the tick E's
+  // timestamp): summing the phase durations incrementally drifts in the
+  // low bits relative to now_ms_ + tick_ms, and an end a few ulps past
+  // the tick E sorts after it, unbalancing the span stack.
+  const Index decoders = static_cast<Index>(plan.items.size()) - plan.prefillers;
+  double phase_t = now_ms_;
+  if (decoders > 0) {
+    const bool last = plan.prefillers == 0 && plan.repair_ms <= 0.0;
+    const double end = last ? plan.completed_ms : phase_t + plan.decode_ms;
+    tr.begin_at("decode-phase", 0, phase_t, {{"decoders", decoders}});
+    tr.end_at("decode-phase", 0, end);
+    phase_t = end;
+  }
+  if (plan.prefillers > 0) {
+    const bool last = plan.repair_ms <= 0.0;
+    const double end = last ? plan.completed_ms : phase_t + plan.prefill_ms;
+    tr.begin_at("prefill-phase", 0, phase_t, {{"prefillers", plan.prefillers}});
+    tr.end_at("prefill-phase", 0, end);
+    phase_t = end;
+  }
+  if (plan.repair_ms > 0.0) {
+    tr.begin_at("repair-phase", 0, phase_t);
+    tr.end_at("repair-phase", 0, plan.completed_ms);
+  }
+}
+
+std::size_t BatchScheduler::wave_end(const std::vector<AdvanceItem>& items,
+                                     std::size_t next) const {
+  if (config_.fast_tier_budget_bytes == 0) {
+    return items.size();  // unlimited budget: one wave, no guard
+  }
+  std::int64_t headroom = config_.fast_tier_budget_bytes - fast_tier_bytes_locked();
+  std::size_t end = next;
+  while (end < items.size()) {
+    const std::int64_t bound = advance_growth_bound_bytes(items[end]);
+    if (bound > headroom) {
+      break;
+    }
+    headroom -= bound;
+    ++end;
+  }
+  return end;
+}
+
+void BatchScheduler::advance_tick(TickPlan& plan) {
+  // Leaf instrumentation (tiered-store fetch events) records against the
+  // ambient context: the tick's completion time, the acting session's
+  // track. The context is thread-local, so pool workers scope their own
+  // events without racing the scheduler thread.
+  auto& tr = obs::tracer();
+  const double completed_ms = plan.completed_ms;
+  tr.set_virtual_now_ms(completed_ms);
+
+  // Wave fan-out: repeatedly take the longest prefix of un-advanced items
+  // whose summed worst-case byte growth provably fits the budget
+  // headroom. Inside such a wave every per-session enforcement checkpoint
+  // is silent, so session order cannot matter — the wave runs
+  // concurrently on the worker pool, then its commit phase (trace edges,
+  // metrics, the enforcement checkpoints themselves) replays in the exact
+  // serial order. When the guard admits at most one item, or the pool has
+  // one worker, the scheduler takes the literal serial step+commit
+  // interleaving, preserving byte-identity under contention too.
+  // Wall-clock here measures host speedup only; every billed duration
+  // stays on the virtual clock (docs/PERFORMANCE.md determinism
+  // contract), so this read cannot leak into any deterministic output.
+  // ckv-lint: allow(wall-clock) -- advance_wall_ms is a host-side metric
+  const auto wall_begin = std::chrono::steady_clock::now();
+  // The fan-out lambda must not touch serial-phase state (clang enforces
+  // it); the tick's start time crosses the boundary by value.
+  const double tick_begin_ms = now_ms_;
+  const bool fan_out = parallel_worker_count() > 1;
+  std::vector<AdvanceItem>& items = plan.items;
+  Index fanned_out = 0;
+  std::size_t next = 0;
+  while (next < items.size()) {
+    const std::size_t end = fan_out ? wave_end(items, next) : next;
+    if (end <= next + 1) {
+      // One worker, or contended: advance one item and commit it
+      // immediately.
+      advance_item(items[next], completed_ms);
+      tr.set_virtual_now_ms(completed_ms);
+      commit_item(items[next], completed_ms);
+      ++next;
+      continue;
+    }
+    parallel_for_range(
+        static_cast<Index>(next), static_cast<Index>(end),
+        /*grain=*/1, [&](Index chunk_begin, Index chunk_end) {
+          // Workers trace their occupancy on dedicated tracks so a
+          // Perfetto view shows the fan-out's shape; the advance span
+          // covers the tick's virtual window. grain 1 means inner engine
+          // parallel_for calls self-serialize instead of re-entering the
+          // pool.
+          auto& wtr = obs::tracer();
+          const int slot = parallel_worker_slot();
+          const std::int64_t worker_track = obs::kWorkerTrackBase + slot;
+          for (Index i = chunk_begin; i < chunk_end; ++i) {
+            if (wtr.enabled()) {
+              wtr.set_track_name(worker_track, "worker " + std::to_string(slot));
+              wtr.begin_at("advance", worker_track, tick_begin_ms,
+                           {{"session", items[i].session->request().id}});
+            }
+            advance_item(items[i], completed_ms);
+            if (wtr.enabled()) {
+              wtr.end_at("advance", worker_track, completed_ms);
+            }
+          }
+        });
+    fanned_out += static_cast<Index>(end - next);
+    // The caller participated in the wave and its thread-local tracer
+    // context now points at the last session it stepped — restore it.
+    tr.set_virtual_now_ms(completed_ms);
+    for (std::size_t i = next; i < end; ++i) {
+      commit_item(items[i], completed_ms);
+    }
+    next = end;
+  }
+  // ckv-lint: allow(wall-clock) -- closes the host-side metric above
+  const std::chrono::duration<double, std::milli> advance_wall =
+      std::chrono::steady_clock::now() - wall_begin;
+  metrics_.record_advance_wall(advance_wall.count(), fanned_out,
+                               static_cast<Index>(items.size()));
+}
+
+void BatchScheduler::end_tick(const TickPlan& plan) {
+  auto& tr = obs::tracer();
+  tr.set_track(0);
+  tr.end_at("tick", 0, plan.completed_ms);
+  if (transfer_engine_ != nullptr) {
+    // Spend the tick's wire capacity on everything queued (including the
+    // demand and speculation the commit phase just enqueued — those
+    // copies overlapped the step compute the tick billed).
+    drain_transfer_engine(plan.completed_ms);
+  }
+  now_ms_ = plan.completed_ms;
+  round_robin_offset_ = (round_robin_offset_ + 1) % plan.batch;
+  metrics_.record_tick(plan.tick_ms, plan.batch, queue_.size());
+}
+
+void BatchScheduler::record_tick_counters() {
+  auto& tr = obs::tracer();
   tr.set_virtual_now_ms(now_ms_);
   tr.counter("fast-tier-bytes", fast_tier_bytes_locked());
   if (config_.tiered_residency) {
@@ -1058,6 +1073,25 @@ bool BatchScheduler::tick() {
                static_cast<std::int64_t>(transfer_engine_->drained_bytes_total()));
   }
   metrics_.record_occupancy(fast_tier_bytes_locked());
+}
+
+bool BatchScheduler::tick() {
+  // The tick body IS the serial phase; the only escape is advance_tick's
+  // wave fan-out, whose lambda runs advance_item (unannotated on purpose
+  // — see batch_scheduler.hpp) on pool workers.
+  const ExclusiveLock serial(serial_phase_);
+  if (running_.empty() && queue_.empty()) {
+    return false;
+  }
+  const double link_rate_factor = begin_tick();
+  if (!running_.empty()) {
+    TickPlan plan = plan_tick(link_rate_factor);
+    trace_tick(plan);
+    advance_tick(plan);
+    end_tick(plan);
+  }
+  retire_finished();
+  record_tick_counters();
   return !(running_.empty() && queue_.empty());
 }
 

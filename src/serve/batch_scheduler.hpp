@@ -102,17 +102,6 @@ struct BatchSchedulerConfig {
   /// Link bandwidth for the transfer engine (GB/s); 0 = the hardware
   /// model's pcie_gather_gbps. Sweeping this down makes contention bite.
   double link_gbps = 0.0;
-  /// Fan session advancement out to the persistent worker pool. Sessions
-  /// are independent (own engine, own RNG, own stores; the shared ledger
-  /// is commutative atomics), so a tick may step them concurrently —
-  /// *wall* time drops while every billed virtual-time, quality and
-  /// billing column stays byte-identical to the serial scheduler: the
-  /// fan-out only covers waves the headroom guard proves budget
-  /// enforcement cannot interrupt, and order-sensitive work (metrics,
-  /// preemption, enforcement, retirement) runs in a serial commit phase
-  /// in the exact serial order (see docs/SCHEDULING.md). false forces the
-  /// pre-fan-out serial path (determinism A/B runs, debugging).
-  bool parallel_tick = true;
   /// Deterministic fault injection (docs/ROBUSTNESS.md). Disabled by
   /// default: every fault branch in the scheduler is gated on the plan,
   /// so a disabled plan reproduces the fault-free schedule byte for
@@ -132,6 +121,14 @@ class BatchScheduler {
   /// enforce the budget). Returns true while sessions remain (queued or
   /// running). The budget invariant holds at every return, including while
   /// sessions are mid-prefill.
+  ///
+  /// With more than one pool worker, sessions the headroom guard proves
+  /// independent advance concurrently in waves; order-sensitive work
+  /// (metrics, preemption, enforcement, retirement) always replays in the
+  /// serial commit order, so every virtual-time, quality and billing
+  /// output is byte-identical at any worker count. With one worker every
+  /// item takes the advance-then-commit path, which makes CKV_THREADS=1
+  /// the serial interleaving oracle (see docs/SCHEDULING.md).
   bool tick();
 
   /// Ticks until every request has finished.
@@ -221,6 +218,56 @@ class BatchScheduler {
     /// commit_item so their order is the serial order at any worker count.
     obs::TraceBuffer trace;
   };
+
+  /// One tick's schedule and bill, built by plan_tick before anything
+  /// advances and read by the phases after it.
+  struct TickPlan {
+    Index batch = 0;       ///< running sessions after admission
+    Index prefillers = 0;  ///< items[0, prefillers) consume a prompt chunk
+    /// Prefillers, then decoders, each group in round-robin order.
+    std::vector<AdvanceItem> items;
+    double tick_ms = 0.0;       ///< billed duration of the whole tick
+    double decode_ms = 0.0;     ///< decode share of tick_ms
+    double prefill_ms = 0.0;    ///< prefill-chunk share of tick_ms
+    double repair_ms = 0.0;     ///< cluster-repair share of tick_ms
+    double completed_ms = 0.0;  ///< now_ms_ + tick_ms
+  };
+
+  // ---- tick phases, in the order tick() runs them ----
+
+  /// Idle jump to the next arrival, admission, and the tick's brownout
+  /// sample. Returns the link-rate factor for this tick (1 = no fault).
+  double begin_tick() CKV_REQUIRES(serial_phase_);
+  /// Partitions the running batch into AdvanceItems and runs the billing
+  /// pre-pass (step costs, fault rolls, contended demand stall, prefill
+  /// chunks, tail folds, repair) — a pure function of pre-advance state.
+  TickPlan plan_tick(double link_rate_factor) CKV_REQUIRES(serial_phase_);
+  /// Emits the tick span and its decode/prefill/repair phase sub-spans,
+  /// laid out back to back from now_ms_ to plan.completed_ms.
+  void trace_tick(const TickPlan& plan) CKV_REQUIRES(serial_phase_);
+  /// Advances every item at plan.completed_ms and commits it in item
+  /// order: in guard-proven waves on the pool when there is more than one
+  /// worker, one advance-then-commit at a time otherwise.
+  void advance_tick(TickPlan& plan) CKV_REQUIRES(serial_phase_);
+  /// Closes the tick span, drains the wire, moves the clock and the
+  /// round-robin offset, and records the tick.
+  void end_tick(const TickPlan& plan) CKV_REQUIRES(serial_phase_);
+  /// Per-tick trace counters and the occupancy sample, after retirement.
+  void record_tick_counters() CKV_REQUIRES(serial_phase_);
+
+  /// Decode pre-pass fault roll for the step `decoder` is about to take:
+  /// records retries and dead fetches (metrics, trace, session counters)
+  /// and arms degraded mode for a dead fetch. No-op without a fault plan.
+  FaultInjector::FetchOutcome roll_fetch_fault(Session& decoder)
+      CKV_REQUIRES(serial_phase_);
+  /// Periodic decode-side repair bill for the step `decoder` is about to
+  /// take (0 when no pass is due or the pass would be a no-op).
+  [[nodiscard]] double decode_repair_ms(const Session& decoder) const;
+  /// End of the wave that starts at items[next]: the longest prefix whose
+  /// summed advance_growth_bound_bytes fits the budget headroom.
+  [[nodiscard]] std::size_t wave_end(const std::vector<AdvanceItem>& items,
+                                     std::size_t next) const
+      CKV_REQUIRES(serial_phase_);
 
   void admit_arrivals() CKV_REQUIRES(serial_phase_);
   void enforce_budget(Session* just_stepped) CKV_REQUIRES(serial_phase_);

@@ -128,7 +128,7 @@ class LatencyModel {
   /// budget = attended tokens; miss_rate = measured cluster-cache miss
   /// rate; clusters = live centroid count (C0 + decode additions);
   /// transfer_element_bytes lets cache-miss fetches cross PCIe quantized
-  /// (1 = int8 per-channel, see kvcache/quantization; 0 = storage width).
+  /// (1 = int8 per-channel, KIVI-style; 0 = storage width).
   [[nodiscard]] StepBreakdown clusterkv_step(Index context_len, Index budget,
                                              double miss_rate, Index clusters,
                                              Index transfer_element_bytes = 0) const;

@@ -114,22 +114,6 @@ std::vector<float> matvec(const Matrix& m, std::span<const float> v) {
   return out;
 }
 
-std::vector<float> vecmat(std::span<const float> v, const Matrix& m) {
-  expects(static_cast<Index>(v.size()) == m.rows(), "vecmat: height mismatch");
-  std::vector<float> out(static_cast<std::size_t>(m.cols()), 0.0f);
-  for (Index r = 0; r < m.rows(); ++r) {
-    const float scale = v[static_cast<std::size_t>(r)];
-    if (scale == 0.0f) {
-      continue;
-    }
-    auto row = m.row(r);
-    for (Index c = 0; c < m.cols(); ++c) {
-      out[static_cast<std::size_t>(c)] += scale * row[static_cast<std::size_t>(c)];
-    }
-  }
-  return out;
-}
-
 double frobenius_distance(const Matrix& a, const Matrix& b) {
   expects(a.rows() == b.rows() && a.cols() == b.cols(),
           "frobenius_distance: shape mismatch");

@@ -62,9 +62,6 @@ Matrix matmul(const Matrix& a, const Matrix& b);
 /// out[i] = dot(m.row(i), v). v.size() must equal m.cols().
 std::vector<float> matvec(const Matrix& m, std::span<const float> v);
 
-/// out[j] = dot(m.col(j), v) = (v^T m). v.size() must equal m.rows().
-std::vector<float> vecmat(std::span<const float> v, const Matrix& m);
-
 /// Frobenius norm of the difference (for test tolerances).
 double frobenius_distance(const Matrix& a, const Matrix& b);
 

@@ -410,7 +410,9 @@ TEST(WasteAttribution, ComponentsSumToIssuedMinusHits) {
 /// feeds the virtual clock. Worker occupancy spans (tracks >=
 /// kWorkerTrackBase) are the one deliberate exception — which pool slot
 /// advances which session is a wall-schedule fact — so they are compared
-/// as a track-agnostic multiset instead of positionally.
+/// as a track-agnostic multiset instead of positionally. One worker never
+/// fans out, so its run has no worker spans at all; the multisets are
+/// compared between 2 and 4 workers.
 TEST(TraceDeterminism, VirtualClockFieldsIdenticalAcrossWorkerCounts) {
   WorkerGuard worker_guard;
   TracerGuard tracer_guard;
@@ -445,9 +447,9 @@ TEST(TraceDeterminism, VirtualClockFieldsIdenticalAcrossWorkerCounts) {
   };
 
   const auto serial = run_traced(1);
+  const auto pair = run_traced(2);
   const auto parallel = run_traced(4);
   ASSERT_FALSE(serial.empty());
-  ASSERT_EQ(serial.size(), parallel.size());
 
   const auto split_worker_events = [](const std::vector<Snapshot>& events) {
     std::pair<std::vector<Snapshot>, std::vector<Snapshot>> out;
@@ -457,37 +459,133 @@ TEST(TraceDeterminism, VirtualClockFieldsIdenticalAcrossWorkerCounts) {
     return out;
   };
   const auto [serial_sem, serial_worker] = split_worker_events(serial);
+  const auto [pair_sem, pair_worker] = split_worker_events(pair);
   const auto [parallel_sem, parallel_worker] = split_worker_events(parallel);
+  EXPECT_TRUE(serial_worker.empty());
+  ASSERT_FALSE(parallel_worker.empty());
 
-  ASSERT_EQ(serial_sem.size(), parallel_sem.size());
-  for (std::size_t i = 0; i < serial_sem.size(); ++i) {
-    EXPECT_EQ(serial_sem[i].name, parallel_sem[i].name) << "event " << i;
-    EXPECT_EQ(serial_sem[i].phase, parallel_sem[i].phase) << "event " << i;
-    EXPECT_EQ(serial_sem[i].track, parallel_sem[i].track) << "event " << i;
-    EXPECT_DOUBLE_EQ(serial_sem[i].virtual_us, parallel_sem[i].virtual_us)
-        << "event " << i;
-    EXPECT_EQ(serial_sem[i].args[0], parallel_sem[i].args[0]) << "event " << i;
-    EXPECT_EQ(serial_sem[i].args[1], parallel_sem[i].args[1]) << "event " << i;
+  for (const auto* sem : {&pair_sem, &parallel_sem}) {
+    ASSERT_EQ(serial_sem.size(), sem->size());
+    for (std::size_t i = 0; i < serial_sem.size(); ++i) {
+      const Snapshot& a = serial_sem[i];
+      const Snapshot& b = (*sem)[i];
+      EXPECT_EQ(a.name, b.name) << "event " << i;
+      EXPECT_EQ(a.phase, b.phase) << "event " << i;
+      EXPECT_EQ(a.track, b.track) << "event " << i;
+      EXPECT_DOUBLE_EQ(a.virtual_us, b.virtual_us) << "event " << i;
+      EXPECT_EQ(a.args[0], b.args[0]) << "event " << i;
+      EXPECT_EQ(a.args[1], b.args[1]) << "event " << i;
+    }
   }
 
   // The same sessions advance in the same virtual windows regardless of
   // which slot ran them: sorting away the wall-schedule dimensions (track,
   // emission order) must leave identical worker-span multisets.
-  ASSERT_EQ(serial_worker.size(), parallel_worker.size());
+  ASSERT_EQ(pair_worker.size(), parallel_worker.size());
   const auto worker_key = [](const Snapshot& e) {
     return std::make_tuple(e.name, e.phase, e.virtual_us, e.args[0], e.args[1]);
   };
-  auto serial_sorted = serial_worker;
+  auto pair_sorted = pair_worker;
   auto parallel_sorted = parallel_worker;
   const auto by_key = [&](const Snapshot& a, const Snapshot& b) {
     return worker_key(a) < worker_key(b);
   };
-  std::sort(serial_sorted.begin(), serial_sorted.end(), by_key);
+  std::sort(pair_sorted.begin(), pair_sorted.end(), by_key);
   std::sort(parallel_sorted.begin(), parallel_sorted.end(), by_key);
-  for (std::size_t i = 0; i < serial_sorted.size(); ++i) {
-    EXPECT_EQ(worker_key(serial_sorted[i]), worker_key(parallel_sorted[i]))
+  for (std::size_t i = 0; i < pair_sorted.size(); ++i) {
+    EXPECT_EQ(worker_key(pair_sorted[i]), worker_key(parallel_sorted[i]))
         << "worker event " << i;
   }
+}
+
+/// The scheduler track's phase spans tile every tick: the decode-phase,
+/// prefill-phase and repair-phase children of a tick span run back to
+/// back, the first starts at the tick's begin and the last ends exactly
+/// at the tick's end. A child is present exactly when its phase billed
+/// work: decode-phase when decode steps commit inside the tick,
+/// prefill-phase when prompt chunks do, repair-phase on the ticks the
+/// metrics count as repair ticks, and the repair spans add up to the
+/// billed repair time.
+TEST(TraceDeterminism, PhaseSpansTileEachTick) {
+  TracerGuard tracer_guard;
+  const auto session = obs_session_config();
+  ClusterKVConfig ckv = obs_ckv_config();
+  ckv.repair_decode_interval = 4;
+  BatchSchedulerConfig config = obs_scheduler_config(ckv, session);
+  auto& tr = obs::tracer();
+  tr.enable();
+  BatchScheduler scheduler(obs_trace(4), make_clusterkv_factory(ckv, 11), session,
+                           LatencyModel(HardwareModel::ada6000(),
+                                        ModelConfig::llama31_8b()),
+                           config);
+  run_obs_fleet(scheduler);
+  const auto events = tr.events();
+  ASSERT_EQ(tr.dropped(), 0u);
+
+  struct Phase {
+    std::string name;
+    double begin_us = 0.0;
+    double end_us = 0.0;
+  };
+  Index ticks = 0;
+  Index repair_phases = 0;
+  double repair_span_ms = 0.0;
+  Index mixed_ticks = 0;
+  double tick_begin_us = 0.0;
+  std::vector<Phase> phases;
+  Index decode_steps = 0;
+  Index prefill_chunks = 0;
+  for (const auto& e : events) {
+    const std::string name = tr.name_of(e.name);
+    if (e.track == 0 && name == "tick") {
+      if (e.phase == obs::TraceEvent::Phase::kBegin) {
+        tick_begin_us = e.virtual_us;
+        phases.clear();
+        decode_steps = 0;
+        prefill_chunks = 0;
+        continue;
+      }
+      ++ticks;
+      ASSERT_FALSE(phases.empty()) << "tick " << ticks;
+      EXPECT_EQ(phases.front().begin_us, tick_begin_us) << "tick " << ticks;
+      for (std::size_t i = 1; i < phases.size(); ++i) {
+        EXPECT_EQ(phases[i].begin_us, phases[i - 1].end_us) << "tick " << ticks;
+      }
+      for (const Phase& phase : phases) {
+        EXPECT_LE(phase.begin_us, phase.end_us) << "tick " << ticks;
+      }
+      EXPECT_EQ(phases.back().end_us, e.virtual_us) << "tick " << ticks;
+      const auto has = [&](const char* phase_name) {
+        return std::any_of(phases.begin(), phases.end(),
+                           [&](const Phase& p) { return p.name == phase_name; });
+      };
+      EXPECT_EQ(has("decode-phase"), decode_steps > 0) << "tick " << ticks;
+      EXPECT_EQ(has("prefill-phase"), prefill_chunks > 0) << "tick " << ticks;
+      if (has("repair-phase")) {
+        ++repair_phases;
+        repair_span_ms += (phases.back().end_us - phases.back().begin_us) / 1000.0;
+      }
+      mixed_ticks += decode_steps > 0 && prefill_chunks > 0 ? 1 : 0;
+    } else if (e.track == 0 && name.size() > 6 &&
+               name.compare(name.size() - 6, 6, "-phase") == 0) {
+      if (e.phase == obs::TraceEvent::Phase::kBegin) {
+        phases.push_back({name, e.virtual_us, e.virtual_us});
+      } else {
+        ASSERT_FALSE(phases.empty());
+        EXPECT_EQ(phases.back().name, name);
+        phases.back().end_us = e.virtual_us;
+      }
+    } else if (name == "decode-step") {
+      ++decode_steps;
+    } else if (name == "prefill-chunk") {
+      ++prefill_chunks;
+    }
+  }
+  EXPECT_EQ(ticks, scheduler.ticks());
+  EXPECT_GT(mixed_ticks, 0);
+  EXPECT_GT(repair_phases, 0);
+  EXPECT_EQ(repair_phases, scheduler.metrics().repair_ticks());
+  EXPECT_NEAR(repair_span_ms, scheduler.metrics().repair_ms_total(), 1e-6);
 }
 
 /// Per-worker utilization: the serial path bills slot 0; total indices

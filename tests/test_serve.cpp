@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/full_kv.hpp"
@@ -301,6 +302,27 @@ TEST(BatchScheduler, UnlimitedBudgetRunsAllConcurrently) {
   scheduler.run();
   EXPECT_EQ(scheduler.finished_count(), 4);
   EXPECT_EQ(scheduler.metrics().total_preemptions(), 0);
+}
+
+/// The tick forms waves only when the pool has more than one worker: at
+/// one worker every session takes the advance-then-commit path, and with
+/// four workers an unlimited budget fans whole batches out.
+TEST(BatchScheduler, FansOutOnlyWithMoreThanOneWorker) {
+  WorkerGuard worker_guard;
+  const auto session_config = small_session_config();
+  const auto ckv = small_ckv_config();
+  auto config = tiered_scheduler_config(ckv, session_config);
+  config.fast_tier_budget_bytes = 0;  // unlimited
+  const auto fanout = [&](int workers) {
+    set_parallel_workers(workers);
+    BatchScheduler scheduler(fixed_trace(4, 200, 5, 0.0),
+                             make_clusterkv_factory(ckv, 7), session_config,
+                             test_latency(), config);
+    scheduler.run();
+    return scheduler.metrics().fanout_fraction();
+  };
+  EXPECT_EQ(fanout(1), 0.0);
+  EXPECT_GT(fanout(4), 0.0);
 }
 
 TEST(BatchScheduler, RejectsImpossibleRequests) {
@@ -997,9 +1019,10 @@ TEST(FleetDeterminism, MetricsAndRecordsIdenticalAcrossWorkerCounts) {
 }
 
 /// Fairness regression at max_running saturation: the round-robin rotation
-/// must give every running session exactly one advancement per tick,
-/// serial and parallel schedulers must agree on per-session progress at
-/// every tick boundary, and no session may stall while it is running.
+/// must give every running session exactly one advancement per tick, the
+/// 1-worker interleaving and the 8-worker wave fan-out must agree on the
+/// clock, the running set and per-session progress at every tick
+/// boundary, and no session may stall while it is running.
 TEST(FleetDeterminism, RoundRobinProgressIdenticalSerialVsParallel) {
   WorkerGuard worker_guard;
   const auto session = small_session_config();
@@ -1007,58 +1030,67 @@ TEST(FleetDeterminism, RoundRobinProgressIdenticalSerialVsParallel) {
   BatchSchedulerConfig config = tiered_scheduler_config(ckv, session);
   config.prefill_chunk_tokens = 48;
   config.max_running = 3;  // saturated: half the fleet queues behind the cap
-
   const auto trace = varied_trace();
-  set_parallel_workers(8);
-  BatchSchedulerConfig serial_config = config;
-  serial_config.parallel_tick = false;
-  BatchScheduler serial(trace, make_clusterkv_factory(ckv, 7), session,
-                        test_latency(), serial_config);
-  BatchScheduler parallel(trace, make_clusterkv_factory(ckv, 7), session,
-                          test_latency(), config);
 
   // Per-session progress (prompt tokens prefilled + tokens generated) of
-  // the running set, keyed by request id.
-  const auto progress = [](const BatchScheduler& scheduler) {
-    std::map<Index, Index> out;
-    for (const auto& running : scheduler.running()) {
-      out[running->request().id] =
-          running->prefill_tokens_done() + running->tokens_generated();
+  // the running set, keyed by request id, after every tick.
+  struct TickState {
+    double now_ms = 0.0;
+    Index running = 0;
+    std::map<Index, Index> progress;
+  };
+  struct Run {
+    std::vector<TickState> ticks;
+    Index finished = 0;
+    FleetSnapshot snapshot;
+  };
+  const auto run = [&](int workers) {
+    set_parallel_workers(workers);
+    BatchScheduler scheduler(trace, make_clusterkv_factory(ckv, 7), session,
+                             test_latency(), config);
+    Run out;
+    bool more = true;
+    while (more) {
+      more = scheduler.tick();
+      TickState state;
+      state.now_ms = scheduler.now_ms();
+      state.running = scheduler.running_count();
+      for (const auto& running : scheduler.running()) {
+        state.progress[running->request().id] =
+            running->prefill_tokens_done() + running->tokens_generated();
+      }
+      out.ticks.push_back(std::move(state));
     }
+    out.finished = scheduler.finished_count();
+    out.snapshot = take_snapshot(scheduler.metrics());
     return out;
   };
+  const Run serial = run(1);
+  const Run parallel = run(8);
 
+  ASSERT_EQ(serial.ticks.size(), parallel.ticks.size());
   std::map<Index, Index> last_progress;
-  bool serial_more = true;
-  bool parallel_more = true;
-  Index ticks = 0;
-  while (serial_more || parallel_more) {
-    serial_more = serial.tick();
-    parallel_more = parallel.tick();
-    EXPECT_EQ(serial_more, parallel_more) << "tick " << ticks;
-    EXPECT_EQ(serial.now_ms(), parallel.now_ms()) << "tick " << ticks;
-    EXPECT_EQ(serial.running_count(), parallel.running_count())
-        << "tick " << ticks;
-    const auto serial_progress = progress(serial);
-    EXPECT_EQ(serial_progress, progress(parallel)) << "tick " << ticks;
-    ASSERT_LE(serial.running_count(), config.max_running) << "tick " << ticks;
+  for (std::size_t t = 0; t < serial.ticks.size(); ++t) {
+    const TickState& s = serial.ticks[t];
+    const TickState& p = parallel.ticks[t];
+    EXPECT_EQ(s.now_ms, p.now_ms) << "tick " << t;
+    EXPECT_EQ(s.running, p.running) << "tick " << t;
+    EXPECT_EQ(s.progress, p.progress) << "tick " << t;
+    ASSERT_LE(s.running, config.max_running) << "tick " << t;
     // No starvation: every session that was running last tick and is
     // still running made strict progress this tick.
-    for (const auto& [id, done] : serial_progress) {
+    for (const auto& [id, done] : s.progress) {
       const auto it = last_progress.find(id);
       if (it != last_progress.end()) {
-        EXPECT_GT(done, it->second) << "session " << id << " starved at tick "
-                                    << ticks;
+        EXPECT_GT(done, it->second) << "session " << id << " starved at tick " << t;
       }
     }
-    last_progress = serial_progress;
-    ++ticks;
+    last_progress = s.progress;
   }
-  EXPECT_EQ(serial.finished_count(), static_cast<Index>(trace.size()));
-  EXPECT_EQ(parallel.finished_count(), static_cast<Index>(trace.size()));
-  expect_snapshots_identical(take_snapshot(serial.metrics()),
-                             take_snapshot(parallel.metrics()),
-                             "serial vs parallel fleet");
+  EXPECT_EQ(serial.finished, static_cast<Index>(trace.size()));
+  EXPECT_EQ(parallel.finished, static_cast<Index>(trace.size()));
+  expect_snapshots_identical(serial.snapshot, parallel.snapshot,
+                             "1 vs 8 workers fleet");
 }
 
 // ---- transfer-engine serving behavior --------------------------------------
