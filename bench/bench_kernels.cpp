@@ -3,13 +3,16 @@
 // attention) against the scalar double-accumulating reference loops the
 // batched kernels replaced, plus timing-only rows for the centroid-update
 // channel-partition trade-off (Fig. 7), full k-means, cluster selection +
-// indexing, Quest page scoring and InfiniGen's Jacobi SVD.
+// indexing, Quest page scoring and InfiniGen's Jacobi SVD. The assignment
+// and full k-means rows run once per batched_argmax variant the host
+// supports (row field `isa`: portable, avx2).
 //
 //   bench_kernels            human-readable table (ns/score, GB/s, speedup)
 //   bench_kernels --json     also writes BENCH_KERNELS.json (machine-readable
 //                            perf trajectory across PRs)
-//   bench_kernels --check    CI smoke: every batched kernel must be at least
-//                            as fast as its scalar reference (exit 1 if not)
+//   bench_kernels --check    CI smoke: every batched kernel (each variant)
+//                            must be at least as fast as its scalar
+//                            reference (exit 1 if not)
 #include <cmath>
 #include <fstream>
 #include <functional>
@@ -120,8 +123,9 @@ void scalar_scores_at(const Matrix& rows, std::span<const Index> positions,
 
 struct Row {
   std::string kernel;
-  std::string metric;   ///< "-" for timing-only rows
-  Index n = 0;          ///< scores (or items) per call
+  std::string metric;     ///< "-" for timing-only rows
+  std::string isa = "-";  ///< batched_argmax variant; "-" for other kernels
+  Index n = 0;            ///< scores (or items) per call
   Index dim = 0;
   double scalar_ns = 0;   ///< ns per call of the scalar reference (0 = none)
   double batched_ns = 0;  ///< ns per call of the batched kernel
@@ -167,7 +171,7 @@ void write_json(const std::vector<Row>& rows, const std::string& path) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     out << "    {\"kernel\": \"" << r.kernel << "\", \"metric\": \"" << r.metric
-        << "\", \"n\": " << r.n << ", \"dim\": " << r.dim
+        << "\", \"isa\": \"" << r.isa << "\", \"n\": " << r.n << ", \"dim\": " << r.dim
         << ", \"scalar_ns_per_score\": "
         << json_number(r.scalar_ns > 0 ? r.scalar_ns / static_cast<double>(r.n)
                                             : 0.0)
@@ -210,10 +214,17 @@ int main(int argc, char** argv) {
                       "§IV-B/§IV-C kernel costs (Fig. 7 partitions, selection, "
                       "attention scoring)");
   std::cout << "workers: " << parallel_worker_count()
-            << " (CKV_THREADS or --threads to override)\n\n";
+            << " (CKV_THREADS or --threads to override); batched_argmax runs "
+            << detail::to_string(detail::dispatched_argmax_isa()) << "\n\n";
 
   const Index dim = 64;
   std::vector<Row> rows;
+  std::vector<detail::ArgmaxIsa> isas;
+  for (const auto isa : {detail::ArgmaxIsa::kPortable, detail::ArgmaxIsa::kAvx2}) {
+    if (detail::argmax_isa_supported(isa)) {
+      isas.push_back(isa);
+    }
+  }
 
   // Cluster-selection scoring: one query against C centroids, per metric.
   {
@@ -227,7 +238,8 @@ int main(int argc, char** argv) {
   }
 
   // k-means assignment: n keys against C centroids (the §III-D Concern 1
-  // hot loop), scalar double-accumulating argmax vs batched_argmax.
+  // hot loop), scalar double-accumulating argmax vs batched_argmax, one
+  // row per variant against one scalar measurement.
   {
     const Index n = 8192;
     const auto keys = random_keys(n, dim, 1);
@@ -242,10 +254,14 @@ int main(int argc, char** argv) {
     row.scalar_ns = ns_per_call(
         [&] { labels = scalar_assign(keys, centroids, DistanceMetric::kCosine); },
         min_seconds);
-    row.batched_ns = ns_per_call(
-        [&] { labels = batched_argmax(keys, centroids, DistanceMetric::kCosine); },
-        min_seconds);
-    rows.push_back(row);
+    for (const auto isa : isas) {
+      const detail::ScopedArgmaxIsa variant(isa);
+      row.isa = detail::to_string(isa);
+      row.batched_ns = ns_per_call(
+          [&] { labels = batched_argmax(keys, centroids, DistanceMetric::kCosine); },
+          min_seconds);
+      rows.push_back(row);
+    }
   }
 
   // Per-step attention scores over the full context (§II-C, O(L d)).
@@ -367,16 +383,20 @@ int main(int argc, char** argv) {
     row.n = n;
     row.dim = dim;
     row.bytes_per_call = static_cast<double>(n * dim) * sizeof(float);
-    row.batched_ns = ns_per_call(
-        [&] {
-          Rng rng(6);
-          auto result = kmeans_cluster(keys, config, rng);
-          if (result.labels.empty()) {
-            std::abort();
-          }
-        },
-        min_seconds);
-    rows.push_back(row);
+    for (const auto isa : isas) {
+      const detail::ScopedArgmaxIsa variant(isa);
+      row.isa = detail::to_string(isa);
+      row.batched_ns = ns_per_call(
+          [&] {
+            Rng rng(6);
+            auto result = kmeans_cluster(keys, config, rng);
+            if (result.labels.empty()) {
+              std::abort();
+            }
+          },
+          min_seconds);
+      rows.push_back(row);
+    }
   }
   {
     const Index clusters = 400;
@@ -459,11 +479,11 @@ int main(int argc, char** argv) {
     rows.push_back(row);
   }
 
-  TextTable table({"kernel", "metric", "scores/call", "scalar ns/score",
+  TextTable table({"kernel", "metric", "isa", "scores/call", "scalar ns/score",
                    "batched ns/score", "speedup", "batched GB/s"});
   for (const Row& row : rows) {
     table.add_row(
-        {row.kernel, row.metric, std::to_string(row.n),
+        {row.kernel, row.metric, row.isa, std::to_string(row.n),
          row.scalar_ns > 0
              ? format_double(row.scalar_ns / static_cast<double>(row.n), 2)
              : "-",
@@ -482,9 +502,9 @@ int main(int argc, char** argv) {
     bool ok = true;
     for (const Row& row : rows) {
       if (row.scalar_ns > 0 && row.batched_ns > row.scalar_ns) {
-        std::cout << "CHECK FAIL: " << row.kernel << " (" << row.metric
-                  << ") batched slower than scalar (" << format_double(row.speedup(), 2)
-                  << "x)\n";
+        std::cout << "CHECK FAIL: " << row.kernel << " (" << row.metric << ", "
+                  << row.isa << ") batched slower than scalar ("
+                  << format_double(row.speedup(), 2) << "x)\n";
         ok = false;
       }
     }

@@ -3,9 +3,22 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <optional>
 
 #include "tensor/vec_ops.hpp"
 #include "util/parallel.hpp"
+
+// The AVX2 instantiation of the assignment kernel needs the target
+// attribute, a CPU feature query and __builtin_shufflevector: x86-64
+// GCC (12+) and Clang. Other targets build the portable kernel alone.
+#if defined(__x86_64__) && defined(__GNUC__) && defined(__has_builtin)
+#if __has_builtin(__builtin_shufflevector) && __has_builtin(__builtin_cpu_supports)
+#define CKV_ARGMAX_AVX2 1
+#endif
+#endif
+#ifndef CKV_ARGMAX_AVX2
+#define CKV_ARGMAX_AVX2 0
+#endif
 
 namespace ckv {
 
@@ -43,21 +56,24 @@ void argmax_adjustments(const Matrix& centroids, DistanceMetric metric,
   }
 }
 
-/// Four float lanes in one SSE-width register: two of them hold one key's
-/// kDotLanes accumulators. GCC and Clang both lower arithmetic on this
-/// type lane-wise, so the register blocking below stays explicit without
-/// intrinsics (nested scalar float arrays did not stay in registers).
+/// Float vector-extension types for one key's kDotLanes accumulators: two
+/// Float4 in the portable kernel (SSE width), one Float8 in the AVX2
+/// kernel. GCC and Clang both lower arithmetic on these types lane-wise, so
+/// the register blocking below stays explicit without intrinsics (nested
+/// scalar float arrays did not stay in registers).
 using Float4 = float __attribute__((vector_size(16)));
-static_assert(kDotLanes == 8, "argmax_block holds the 8 lanes as two Float4");
+static_assert(kDotLanes == 8, "argmax_block holds the 8 lanes as 2 x 4 or 1 x 8");
 
-Float4 load_float4(const float* p) noexcept {
-  Float4 v;
+/// Loads through a reference: returning a Float8 by value from a function
+/// compiled without AVX would change the ABI (-Wpsabi).
+template <typename Vec>
+[[gnu::always_inline]] inline void load_vec(Vec& v, const float* p) noexcept {
   std::memcpy(&v, p, sizeof(v));
-  return v;
 }
 
-/// Keys scored per pass over a centroid row: 4 keys x 2 Float4 = 8
-/// independent accumulator chains, enough to hide the add latency.
+/// Keys scored per pass over a centroid row: every key holds its own
+/// accumulator chains (two Float4 or one Float8), so 4 keys give 8 or 4
+/// independent chains while sharing each centroid load.
 constexpr Index kArgmaxKeys = 4;
 
 struct ArgmaxOperands {
@@ -70,9 +86,14 @@ struct ArgmaxOperands {
 /// Labels keys [first, first + kKeys) with argmax_c (dot(key, c) * mult_c +
 /// bias_c). Each (key, centroid) dot reproduces dot_f32 exactly: the
 /// kDotLanes-lane walk, the 4/2/1 pairwise tree, then the serial tail; a
-/// strict `>` keeps the first maximum (and label 0 for a NaN key).
-template <Index kKeys>
-void argmax_block(const ArgmaxOperands& op, Index first, Index* labels) {
+/// strict `>` keeps the first maximum (and label 0 for a NaN key). `Vec`
+/// only sets how many registers hold a key's lanes, never the order.
+template <typename Vec, Index kKeys>
+[[gnu::always_inline]] inline void argmax_block(const ArgmaxOperands& op, Index first,
+                                                Index* labels) {
+  constexpr Index kWidth = sizeof(Vec) / sizeof(float);
+  constexpr Index kRegs = static_cast<Index>(kDotLanes) / kWidth;  // per key
+  static_assert(kRegs == 1 || kRegs == 2, "a key's lanes are 1 x 8 or 2 x 4");
   const Index dim = op.keys.cols();
   const Index lane_end = dim - dim % static_cast<Index>(kDotLanes);
   const float* centroid_base = op.centroids.flat().data();
@@ -86,25 +107,43 @@ void argmax_block(const ArgmaxOperands& op, Index first, Index* labels) {
   }
   for (Index c = 0; c < op.centroids.rows(); ++c) {
     const float* cen = centroid_base + c * dim;
-    Float4 lo[kKeys] = {};  // lanes 0-3
-    Float4 hi[kKeys] = {};  // lanes 4-7
+    Vec acc[kRegs][kKeys] = {};  // acc[r][k]: lanes [r * kWidth, (r + 1) * kWidth)
     for (Index i = 0; i < lane_end; i += static_cast<Index>(kDotLanes)) {
-      const Float4 cen_lo = load_float4(cen + i);
-      const Float4 cen_hi = load_float4(cen + i + 4);
+      for (Index r = 0; r < kRegs; ++r) {
+        Vec cen_r;
+        load_vec(cen_r, cen + i + r * kWidth);
+        for (Index k = 0; k < kKeys; ++k) {
+          Vec key_r;
+          load_vec(key_r, key[k] + i + r * kWidth);
+          acc[r][k] += key_r * cen_r;
+        }
+      }
+    }
+    float total[kKeys];
+    for (Index k = 0; k < kKeys; ++k) {
+      Float4 half;  // tree stride 4
+      if constexpr (kRegs == 2) {
+        half = acc[0][k] + acc[1][k];
+      } else {
+        half = __builtin_shufflevector(acc[0][k], acc[0][k], 0, 1, 2, 3) +
+               __builtin_shufflevector(acc[0][k], acc[0][k], 4, 5, 6, 7);
+      }
+      total[k] = (half[0] + half[2]) + (half[1] + half[3]);  // strides 2, 1
+    }
+    // The tail gets its own loop: folded into the reduction loop above,
+    // GCC zeroed the accumulators with `rep stos` and reduced them
+    // through the stack, losing the register blocking.
+    if (lane_end != dim) {
       for (Index k = 0; k < kKeys; ++k) {
-        lo[k] += load_float4(key[k] + i) * cen_lo;
-        hi[k] += load_float4(key[k] + i + 4) * cen_hi;
+        for (Index i = lane_end; i < dim; ++i) {
+          total[k] += key[k][i] * cen[i];
+        }
       }
     }
     const float m = op.mult[static_cast<std::size_t>(c)];
     const float b = op.bias[static_cast<std::size_t>(c)];
     for (Index k = 0; k < kKeys; ++k) {
-      const Float4 half = lo[k] + hi[k];  // tree stride 4
-      float total = (half[0] + half[2]) + (half[1] + half[3]);  // strides 2, 1
-      for (Index i = lane_end; i < dim; ++i) {
-        total += key[k][i] * cen[i];
-      }
-      const float score = total * m + b;
+      const float score = total[k] * m + b;
       if (score > best[k]) {
         best[k] = score;
         best_c[k] = c;
@@ -115,6 +154,58 @@ void argmax_block(const ArgmaxOperands& op, Index first, Index* labels) {
     labels[k] = best_c[k];
   }
 }
+
+/// Labels the keys of blocks [block_begin, block_end): whole blocks take
+/// kArgmaxKeys keys per centroid pass, the last n % kArgmaxKeys keys take
+/// a block of one. Blocking only shares the centroid loads, so every label
+/// is independent of it.
+template <typename Vec>
+[[gnu::always_inline]] inline void argmax_blocks(const ArgmaxOperands& op,
+                                                 Index block_begin, Index block_end,
+                                                 Index* labels) {
+  const Index n = op.keys.rows();
+  for (Index block = block_begin; block < block_end; ++block) {
+    const Index first = block * kArgmaxKeys;
+    if (first + kArgmaxKeys <= n) {
+      argmax_block<Vec, kArgmaxKeys>(op, first, labels + first);
+      continue;
+    }
+    for (Index i = first; i < n; ++i) {
+      argmax_block<Vec, 1>(op, i, labels + i);
+    }
+  }
+}
+
+void argmax_blocks_portable(const ArgmaxOperands& op, Index block_begin,
+                            Index block_end, Index* labels) {
+  argmax_blocks<Float4>(op, block_begin, block_end, labels);
+}
+
+#if CKV_ARGMAX_AVX2
+/// The same source at AVX2 width: one key's 8 lanes in one ymm register.
+/// FMA stays off, so `* then +` rounds twice exactly as in dot_f32.
+using Float8 = float __attribute__((vector_size(32)));
+
+[[gnu::target("avx2")]] void argmax_blocks_avx2(const ArgmaxOperands& op,
+                                                Index block_begin, Index block_end,
+                                                Index* labels) {
+  argmax_blocks<Float8>(op, block_begin, block_end, labels);
+}
+#endif
+
+using ArgmaxBlocksFn = void (*)(const ArgmaxOperands&, Index, Index, Index*);
+
+ArgmaxBlocksFn argmax_blocks_for([[maybe_unused]] detail::ArgmaxIsa isa) {
+#if CKV_ARGMAX_AVX2
+  if (isa == detail::ArgmaxIsa::kAvx2) {
+    return argmax_blocks_avx2;
+  }
+#endif
+  return argmax_blocks_portable;
+}
+
+/// Set by detail::ScopedArgmaxIsa on the thread that calls batched_argmax.
+thread_local std::optional<detail::ArgmaxIsa> argmax_isa_override;
 
 }  // namespace
 
@@ -236,29 +327,54 @@ std::vector<Index> batched_argmax(const Matrix& keys, const Matrix& centroids,
   std::vector<float> bias;
   argmax_adjustments(centroids, metric, mult, bias);
 
-  // Register blocking: each pass over a centroid row serves kArgmaxKeys
-  // keys (argmax_block). The pool splits whole blocks, so only the last
-  // n % kArgmaxKeys keys take the same template with a block of one.
-  // Blocking only shares the centroid loads: every label is independent
-  // of the blocking and of how blocks are chunked across workers.
+  // Each pool chunk is a run of whole key blocks; the kernel variant is
+  // picked here, on the calling thread, so every chunk runs the same one.
   std::vector<Index> labels(static_cast<std::size_t>(n), 0);
   const ArgmaxOperands op{keys, centroids, mult, bias};
+  const ArgmaxBlocksFn run_blocks =
+      argmax_blocks_for(argmax_isa_override.value_or(detail::dispatched_argmax_isa()));
   const Index blocks = (n + kArgmaxKeys - 1) / kArgmaxKeys;
   const Index grain = score_grain(kArgmaxKeys * centroids.rows() * dim);
   parallel_for_range(0, blocks, grain, [&](Index block_begin, Index block_end) {
-    for (Index block = block_begin; block < block_end; ++block) {
-      const Index first = block * kArgmaxKeys;
-      if (first + kArgmaxKeys <= n) {
-        argmax_block<kArgmaxKeys>(op, first, labels.data() + first);
-        continue;
-      }
-      for (Index i = first; i < n; ++i) {
-        argmax_block<1>(op, i, labels.data() + i);
-      }
-    }
+    run_blocks(op, block_begin, block_end, labels.data());
   });
   return labels;
 }
+
+namespace detail {
+
+const char* to_string(ArgmaxIsa isa) noexcept {
+  return isa == ArgmaxIsa::kAvx2 ? "avx2" : "portable";
+}
+
+bool argmax_isa_supported(ArgmaxIsa isa) noexcept {
+  if (isa == ArgmaxIsa::kPortable) {
+    return true;
+  }
+#if CKV_ARGMAX_AVX2
+  static const bool avx2 = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return avx2;
+#else
+  return false;
+#endif
+}
+
+ArgmaxIsa dispatched_argmax_isa() noexcept {
+  return argmax_isa_supported(ArgmaxIsa::kAvx2) ? ArgmaxIsa::kAvx2
+                                                : ArgmaxIsa::kPortable;
+}
+
+ScopedArgmaxIsa::ScopedArgmaxIsa(ArgmaxIsa isa) : previous_(argmax_isa_override) {
+  expects(argmax_isa_supported(isa), "ScopedArgmaxIsa: variant not supported here");
+  argmax_isa_override = isa;
+}
+
+ScopedArgmaxIsa::~ScopedArgmaxIsa() { argmax_isa_override = previous_; }
+
+}  // namespace detail
 
 std::vector<Index> assign_labels(const Matrix& keys, const Matrix& centroids,
                                  DistanceMetric metric) {

@@ -17,6 +17,7 @@
 // persistent worker pool (util/parallel). See docs/PERFORMANCE.md.
 #pragma once
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -56,9 +57,46 @@ void batched_pair_scores(const Matrix& a, const Matrix& b,
 /// 4-key register blocks stream the centroid matrix once per block, with
 /// the per-centroid metric adjustment precomputed. Every score keeps
 /// dot_f32's accumulation order, so labels are bit-identical to a
-/// per-pair dot_f32 argmax at any blocking and thread count.
+/// per-pair dot_f32 argmax at any blocking, thread count and kernel
+/// variant (detail::ArgmaxIsa).
 std::vector<Index> batched_argmax(const Matrix& keys, const Matrix& centroids,
                                   DistanceMetric metric);
+
+namespace detail {
+
+/// The two compiled instantiations of batched_argmax's block kernel. Both
+/// come from one source and produce identical labels; they differ only in
+/// register width.
+enum class ArgmaxIsa {
+  kPortable,  ///< the build's baseline target (SSE width on x86-64)
+  kAvx2,      ///< one ymm register per key; x86-64 GCC/Clang builds only
+};
+
+const char* to_string(ArgmaxIsa isa) noexcept;
+
+/// Whether this build contains `isa` and the CPU can run it.
+bool argmax_isa_supported(ArgmaxIsa isa) noexcept;
+
+/// The variant batched_argmax runs: kAvx2 when supported, else kPortable.
+/// Decided once per process.
+ArgmaxIsa dispatched_argmax_isa() noexcept;
+
+/// Makes batched_argmax calls from the constructing thread run `isa`
+/// (which must be supported) until destruction, so tests and benches can
+/// run both variants on one host. Calls made from other threads, such as
+/// k-means inside a pool task, keep the dispatched variant.
+class ScopedArgmaxIsa {
+ public:
+  explicit ScopedArgmaxIsa(ArgmaxIsa isa);
+  ~ScopedArgmaxIsa();
+  ScopedArgmaxIsa(const ScopedArgmaxIsa&) = delete;
+  ScopedArgmaxIsa& operator=(const ScopedArgmaxIsa&) = delete;
+
+ private:
+  std::optional<ArgmaxIsa> previous_;
+};
+
+}  // namespace detail
 
 /// Assignment step: label[i] = argmax_c similarity(metric, keys[i],
 /// centroids[c]). Retained name for the Lloyd iteration; delegates to

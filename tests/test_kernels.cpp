@@ -33,6 +33,11 @@ Matrix random_matrix(Index rows, Index cols, std::uint64_t seed) {
 const auto kAllMetrics = {DistanceMetric::kCosine, DistanceMetric::kL2,
                           DistanceMetric::kInnerProduct};
 
+/// Both compiled batched_argmax variants, portable first: a test that
+/// loops over them runs the portable leg on every host and skips the
+/// AVX2 leg (GTEST_SKIP) on a CPU or build without it.
+const auto kArgmaxVariants = {detail::ArgmaxIsa::kPortable, detail::ArgmaxIsa::kAvx2};
+
 TEST(BatchedScores, MatchesScalarReferenceAllMetrics) {
   // 37 columns: exercises the lane remainder tail, not just multiples of 8.
   const Matrix rows = random_matrix(53, 37, 1);
@@ -218,33 +223,39 @@ TEST(BatchedArgmax, BitIdenticalToPerPairDotF32) {
   // 4-key blocks, so a 33-key batch spreads over several chunks; key
   // counts that are not a multiple of 4 run the single-key block.
   constexpr Index kCentroids = 97;
-  for (const Index dim : {1, 7, 8, 9, 63, 64, 65, 128}) {
-    const auto seed = static_cast<std::uint64_t>(dim) * 100;
-    Matrix centroids = random_matrix(kCentroids, dim, seed);
-    fill(centroids.row(1), 0.0f);  // zero norm: cosine multiplier 0
-    // Rows 40.. repeat rows 0..: every key sees exact ties, which the
-    // lower id must win.
-    for (Index c = 40; c < kCentroids; ++c) {
-      copy_to(centroids.row(c % 40), centroids.row(c));
+  for (const auto isa : kArgmaxVariants) {
+    if (!detail::argmax_isa_supported(isa)) {
+      GTEST_SKIP() << "no " << detail::to_string(isa) << " kernel on this host";
     }
-    for (const Index n : {1, 2, 3, 4, 5, 7, 33}) {
-      Matrix keys = random_matrix(n, dim, seed + static_cast<std::uint64_t>(n));
-      if (n > 2) {
-        // A key equal to a centroid ties with that centroid's repeat.
-        copy_to(centroids.row(7), keys.row(1));
-        // NaN scores never compare greater: the key keeps label 0.
-        keys.row(2)[0] = std::numeric_limits<float>::quiet_NaN();
+    const detail::ScopedArgmaxIsa variant(isa);
+    for (const Index dim : {1, 7, 8, 9, 63, 64, 65, 128}) {
+      const auto seed = static_cast<std::uint64_t>(dim) * 100;
+      Matrix centroids = random_matrix(kCentroids, dim, seed);
+      fill(centroids.row(1), 0.0f);  // zero norm: cosine multiplier 0
+      // Rows 40.. repeat rows 0..: every key sees exact ties, which the
+      // lower id must win.
+      for (Index c = 40; c < kCentroids; ++c) {
+        copy_to(centroids.row(c % 40), centroids.row(c));
       }
-      for (const auto metric : kAllMetrics) {
-        const auto expected = dot_f32_argmax(keys, centroids, metric);
+      for (const Index n : {1, 2, 3, 4, 5, 7, 33}) {
+        Matrix keys = random_matrix(n, dim, seed + static_cast<std::uint64_t>(n));
         if (n > 2) {
-          ASSERT_EQ(expected[2], 0);
+          // A key equal to a centroid ties with that centroid's repeat.
+          copy_to(centroids.row(7), keys.row(1));
+          // NaN scores never compare greater: the key keeps label 0.
+          keys.row(2)[0] = std::numeric_limits<float>::quiet_NaN();
         }
-        for (const int workers : {1, 2, 4}) {
-          set_parallel_workers(workers);
-          EXPECT_EQ(batched_argmax(keys, centroids, metric), expected)
-              << to_string(metric) << " dim " << dim << " keys " << n << " workers "
-              << workers;
+        for (const auto metric : kAllMetrics) {
+          const auto expected = dot_f32_argmax(keys, centroids, metric);
+          if (n > 2) {
+            ASSERT_EQ(expected[2], 0);
+          }
+          for (const int workers : {1, 2, 4}) {
+            set_parallel_workers(workers);
+            EXPECT_EQ(batched_argmax(keys, centroids, metric), expected)
+                << detail::to_string(isa) << " " << to_string(metric) << " dim " << dim
+                << " keys " << n << " workers " << workers;
+          }
         }
       }
     }
@@ -259,6 +270,11 @@ TEST(BatchedArgmax, AccumulationOrderDecidesExactTies) {
   // of a (key, centroid) dot moves some of these labels.
   constexpr Index kCentroids = 61;
   Rng rng(90);
+  struct Case {
+    Matrix keys;
+    Matrix centroids;
+  };
+  std::vector<Case> cases;
   for (const Index dim : {9, 16, 64, 67}) {
     std::vector<float> base(static_cast<std::size_t>(dim));
     for (float& v : base) {
@@ -277,12 +293,22 @@ TEST(BatchedArgmax, AccumulationOrderDecidesExactTies) {
     for (Index i = 0; i < keys.rows(); ++i) {
       fill(keys.row(i), static_cast<float>(i - 4) * 0.75f + 0.5f);
     }
-    for (const auto metric : kAllMetrics) {
-      const auto expected = dot_f32_argmax(keys, centroids, metric);
-      for (const int workers : {1, 4}) {
-        set_parallel_workers(workers);
-        EXPECT_EQ(batched_argmax(keys, centroids, metric), expected)
-            << to_string(metric) << " dim " << dim << " workers " << workers;
+    cases.push_back({keys, centroids});
+  }
+  for (const auto isa : kArgmaxVariants) {
+    if (!detail::argmax_isa_supported(isa)) {
+      GTEST_SKIP() << "no " << detail::to_string(isa) << " kernel on this host";
+    }
+    const detail::ScopedArgmaxIsa variant(isa);
+    for (const auto& [keys, centroids] : cases) {
+      for (const auto metric : kAllMetrics) {
+        const auto expected = dot_f32_argmax(keys, centroids, metric);
+        for (const int workers : {1, 4}) {
+          set_parallel_workers(workers);
+          EXPECT_EQ(batched_argmax(keys, centroids, metric), expected)
+              << detail::to_string(isa) << " " << to_string(metric) << " dim "
+              << keys.cols() << " workers " << workers;
+        }
       }
     }
   }
@@ -310,12 +336,33 @@ TEST(ThreadDeterminism, LabelsIdenticalAcrossWorkerCounts) {
   WorkerGuard guard;
   const Matrix keys = random_matrix(513, 64, 21);  // odd count: ragged chunks
   const Matrix centroids = random_matrix(37, 64, 22);
-  set_parallel_workers(1);
-  const auto serial = batched_argmax(keys, centroids, DistanceMetric::kCosine);
-  for (const int workers : {2, 8}) {
-    set_parallel_workers(workers);
-    EXPECT_EQ(batched_argmax(keys, centroids, DistanceMetric::kCosine), serial)
-        << workers << " workers";
+  std::vector<Index> portable_serial;
+  for (const auto isa : kArgmaxVariants) {
+    if (!detail::argmax_isa_supported(isa)) {
+      GTEST_SKIP() << "no " << detail::to_string(isa) << " kernel on this host";
+    }
+    const detail::ScopedArgmaxIsa variant(isa);
+    set_parallel_workers(1);
+    const auto serial = batched_argmax(keys, centroids, DistanceMetric::kCosine);
+    if (isa == detail::ArgmaxIsa::kPortable) {
+      portable_serial = serial;
+    }
+    EXPECT_EQ(serial, portable_serial) << detail::to_string(isa);
+    for (const int workers : {2, 8}) {
+      set_parallel_workers(workers);
+      EXPECT_EQ(batched_argmax(keys, centroids, DistanceMetric::kCosine), serial)
+          << detail::to_string(isa) << " " << workers << " workers";
+    }
+  }
+}
+
+TEST(BatchedArgmax, DispatchPicksAvx2WhereSupported) {
+  const bool avx2 = detail::argmax_isa_supported(detail::ArgmaxIsa::kAvx2);
+  EXPECT_TRUE(detail::argmax_isa_supported(detail::ArgmaxIsa::kPortable));
+  EXPECT_EQ(detail::dispatched_argmax_isa(),
+            avx2 ? detail::ArgmaxIsa::kAvx2 : detail::ArgmaxIsa::kPortable);
+  if (!avx2) {
+    EXPECT_THROW(detail::ScopedArgmaxIsa(detail::ArgmaxIsa::kAvx2), std::exception);
   }
 }
 

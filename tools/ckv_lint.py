@@ -31,6 +31,14 @@ determinism contract (docs/PERFORMANCE.md) and the concurrency contract
                     robustness contract (docs/ROBUSTNESS.md) surfaces
                     faults as typed errors; silently eating an unknown
                     exception hides them.
+  fp-contract       No FMA contraction in src/ or bench/: no `fma` or
+                    `arch=` inside a target(...)/target_clones(...)
+                    attribute, no fp-contract=fast, no
+                    `#pragma STDC FP_CONTRACT ON` (or clang's
+                    `#pragma clang fp contract(on|fast)`). A fused
+                    multiply-add rounds once where the lane contract's
+                    `a * b + c` rounds twice, so it moves scores in the
+                    last bit and breaks bit identity with dot_f32.
 
 Suppression is machine-readable and audited, never silent:
 
@@ -78,6 +86,13 @@ RULE_ALLOWED_PREFIXES = {
     "raw-thread": ("src/util/parallel.",),
     "float-accumulate": ("src/tensor/vec_ops.",),
     "bare-catch": ("tests/",),
+    "fp-contract": (),
+}
+
+# Rules that only apply under these path prefixes (every other rule
+# applies everywhere outside its RULE_ALLOWED_PREFIXES).
+RULE_SCOPE_PREFIXES = {
+    "fp-contract": ("src/", "bench/"),
 }
 
 SIMPLE_RULES = {
@@ -109,6 +124,9 @@ RULE_MESSAGES = {
     "— reduction order is part of the numeric contract",
     "bare-catch": "catch (...) swallows the exception — rethrow, store "
     "std::current_exception(), or report it before continuing",
+    "fp-contract": "FMA contraction enabled — a fused multiply-add rounds once "
+    "and breaks the lane contract's bit identity; keep fma and arch= out of "
+    "target attributes and leave fp-contract off",
 }
 
 ALL_RULES = tuple(RULE_MESSAGES)
@@ -122,6 +140,16 @@ UNORDERED_DECL_START = re.compile(
 IDENT_AFTER_TEMPLATE = re.compile(r"\s*&?\s*([A-Za-z_]\w*)\s*[;,)({=\[]")
 INCLUDE_RE = re.compile(r'#\s*include\s+"([^"]+)"')
 
+# Matched against code with comments stripped but string literals kept:
+# the target attribute names its ISA in a string. An arch= target (e.g.
+# haswell) enables FMA too; an explicit no-fma is fine.
+FP_CONTRACT_RE = re.compile(
+    r"\btarget(?:_clones)?\s*\([^)]*(?:(?<!no-)\bfma|\barch=)"
+    r"|fp-contract\s*=\s*fast"
+    r"|#\s*pragma\s+STDC\s+FP_CONTRACT\s+ON\b"
+    r"|#\s*pragma\s+clang\s+fp\s+contract\s*\(\s*(?:on|fast)\s*\)"
+)
+
 BARE_CATCH_RE = re.compile(r"catch\s*\(\s*\.\.\.\s*\)")
 # A handler is fine if it rethrows, preserves the exception object, or
 # visibly reports it (stream, logger, tracer) before moving on.
@@ -131,9 +159,10 @@ CATCH_HANDLES_RE = re.compile(
 )
 
 
-def strip_comments_and_strings(lines):
+def strip_comments_and_strings(lines, keep_strings=False):
     """Blanks out //, /* */ comments and string/char literals, preserving
-    line structure, so rule patterns only see code."""
+    line structure, so rule patterns only see code. With keep_strings the
+    literals stay (for rules that read attribute arguments)."""
     out = []
     in_block = False
     for line in lines:
@@ -159,7 +188,7 @@ def strip_comments_and_strings(lines):
                 continue
             if ch in "\"'":
                 quote = ch
-                result.append(" ")
+                start = i
                 i += 1
                 while i < n:
                     if line[i] == "\\":
@@ -169,6 +198,7 @@ def strip_comments_and_strings(lines):
                         i += 1
                         break
                     i += 1
+                result.append(line[start:i] if keep_strings else " ")
                 continue
             result.append(ch)
             i += 1
@@ -259,6 +289,9 @@ class Finding:
 
 
 def rule_applies(rule, rel_path):
+    scope = RULE_SCOPE_PREFIXES.get(rule)
+    if scope is not None and not rel_path.startswith(scope):
+        return False
     return not any(rel_path.startswith(p) for p in RULE_ALLOWED_PREFIXES[rule])
 
 
@@ -308,6 +341,12 @@ def lint_file(rel_path, raw_lines, extra_unordered_names=()):
                 continue
             line_no = text.count("\n", 0, m.start()) + 1
             report("bare-catch", line_no, RULE_MESSAGES["bare-catch"])
+
+    if rule_applies("fp-contract", rel_path):
+        code_with_strings = strip_comments_and_strings(raw_lines, keep_strings=True)
+        for idx, line in enumerate(code_with_strings, start=1):
+            if FP_CONTRACT_RE.search(line):
+                report("fp-contract", idx, RULE_MESSAGES["fp-contract"])
     return findings
 
 
