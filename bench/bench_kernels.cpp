@@ -3,9 +3,10 @@
 // attention) against the scalar double-accumulating reference loops the
 // batched kernels replaced, plus timing-only rows for the centroid-update
 // channel-partition trade-off (Fig. 7), full k-means, cluster selection +
-// indexing, Quest page scoring and InfiniGen's Jacobi SVD. The assignment
-// and full k-means rows run once per batched_argmax variant the host
-// supports (row field `isa`: portable, avx2).
+// indexing, Quest page scoring, InfiniGen's Jacobi SVD and the procedural
+// context build. The assignment and full k-means rows run once per
+// batched_argmax variant the host supports (row field `isa`: portable,
+// avx2).
 //
 //   bench_kernels            human-readable table (ns/score, GB/s, speedup)
 //   bench_kernels --json     also writes BENCH_KERNELS.json (machine-readable
@@ -340,6 +341,30 @@ int main(int argc, char** argv) {
         [&] {
           auto gathered = store.gather(pick);
           if (gathered.first.rows() != budget) {
+            std::abort();
+          }
+        },
+        min_seconds);
+    rows.push_back(row);
+  }
+
+  // Procedural context generation (src/model/procedural.cpp): one head's
+  // keys and values for an 8192-token prompt, the work every context
+  // build repeats per head. Timing-only; ns/score reads as ns per token.
+  {
+    const Index n = 8192;
+    ProceduralParams params;
+    params.head_dim = dim;
+    Row row;
+    row.kernel = "context-build";
+    row.metric = "-";
+    row.n = n;
+    row.dim = dim;
+    row.bytes_per_call = static_cast<double>(n * dim) * 2 * sizeof(float);
+    row.batched_ns = ns_per_call(
+        [&] {
+          const HeadStream stream(params, Rng(15), n);
+          if (stream.size() != n) {
             std::abort();
           }
         },

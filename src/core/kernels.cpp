@@ -33,6 +33,12 @@ Index score_grain(Index work_per_item) noexcept {
   return std::max<Index>(1, kGrainFlops / std::max<Index>(1, work_per_item));
 }
 
+/// Jobs below this many multiply-accumulates run on the calling thread as
+/// one chunk: waking the pool costs about as much as the job. A 2048-row
+/// gathered dot at d = 64 (2 grains) took 15 ns/row inline and 18-23
+/// ns/row split over 4 workers on a 4-core host.
+constexpr Index kInlineFlops = 4 * kGrainFlops;
+
 /// Per-centroid argmax adjustments reducing every metric to
 /// argmax(dot * mult + bias): cosine multiplies by 1/|c| (the key norm is
 /// constant per key and drops out), L2 subtracts |c|^2 / 2 (|k|^2 drops
@@ -272,7 +278,8 @@ void batched_dot_at(const Matrix& rows, std::span<const Index> positions,
   }
   const Index dim = rows.cols();
   const float* base = rows.flat().data();
-  parallel_for_range(0, n, score_grain(dim), [&](Index begin, Index end) {
+  const Index grain = n * dim < kInlineFlops ? std::max<Index>(1, n) : score_grain(dim);
+  parallel_for_range(0, n, grain, [&](Index begin, Index end) {
     for (Index i = begin; i < end; ++i) {
       const std::span<const float> row(
           base + positions[static_cast<std::size_t>(i)] * dim,

@@ -9,6 +9,15 @@
 
 namespace ckv {
 
+namespace {
+
+/// Per-channel standard deviation of a spread shared by `dim` channels.
+double channel_sd(double spread, Index dim) {
+  return spread / std::sqrt(static_cast<double>(dim));
+}
+
+}  // namespace
+
 HeadStream::HeadStream(const ProceduralParams& params, Rng rng, Index prompt_len)
     : params_(params),
       topic_rng_(rng.fork("topics")),
@@ -29,13 +38,15 @@ HeadStream::HeadStream(const ProceduralParams& params, Rng rng, Index prompt_len
   sink_dir_ = structure_rng.unit_vector(params.head_dim);
 
   const Index outliers = std::min<Index>(params.outlier_channels, params.head_dim);
-  const auto channels = structure_rng.sample_without_replacement(params.head_dim, outliers);
+  const auto channels =
+      structure_rng.sample_without_replacement(params.head_dim, outliers);
   for (const Index c : channels) {
     outlier_channel_ids_.push_back(c);
     const double sign = structure_rng.bernoulli(0.5) ? 1.0 : -1.0;
     outlier_channel_offset_.push_back(static_cast<float>(sign * params.outlier_offset));
   }
 
+  noise_.resize(static_cast<std::size_t>(params.head_dim));
   for (Index p = 0; p < prompt_len; ++p) {
     append_token(p);
   }
@@ -69,8 +80,9 @@ void HeadStream::append_token(Index position) {
     // Attention sink: large-magnitude key far from every topic, with a
     // small perturbation so sinks are not exactly identical.
     std::vector<float> k(sink_dir_.begin(), sink_dir_.end());
-    for (float& x : k) {
-      x = static_cast<float>(x * params_.sink_scale + key_rng_.normal(0.0, 0.05));
+    key_rng_.normals(noise_, 0.0, 0.05);
+    for (std::size_t c = 0; c < k.size(); ++c) {
+      k[c] = static_cast<float>(k[c] * params_.sink_scale + noise_[c]);
     }
     keys_.append_row(k);
     values_.append_row(make_value(topic_rng_.uniform_int(0, params_.num_topics - 1)));
@@ -83,18 +95,19 @@ void HeadStream::append_token(Index position) {
 std::vector<float> HeadStream::make_key(Index topic) {
   const auto dir = topic_dirs_.row(topic);
   std::vector<float> k(static_cast<std::size_t>(params_.head_dim));
+  key_rng_.normals(noise_, 0.0, channel_sd(params_.key_noise, params_.head_dim));
   for (std::size_t c = 0; c < k.size(); ++c) {
-    k[c] = static_cast<float>(static_cast<double>(dir[c]) +
-                              key_rng_.normal(0.0, params_.key_noise /
-                                                       std::sqrt(static_cast<double>(
-                                                           params_.head_dim))));
+    k[c] = static_cast<float>(static_cast<double>(dir[c]) + noise_[c]);
   }
   normalize_in_place(k);
   const double scale = std::exp(key_rng_.normal(0.0, params_.key_scale_sigma));
   scale_in_place(k, static_cast<float>(scale));
+  // outlier_channels <= head_dim, so the jitter draws fit the buffer.
+  const std::span<double> jitters(noise_.data(), outlier_channel_ids_.size());
+  key_rng_.normals(jitters, 0.0, 1.0);
   for (std::size_t i = 0; i < outlier_channel_ids_.size(); ++i) {
     const auto channel = static_cast<std::size_t>(outlier_channel_ids_[i]);
-    const double jitter = 1.0 + params_.outlier_jitter * key_rng_.normal();
+    const double jitter = 1.0 + params_.outlier_jitter * jitters[i];
     k[channel] += outlier_channel_offset_[i] * static_cast<float>(jitter);
   }
   return k;
@@ -103,11 +116,9 @@ std::vector<float> HeadStream::make_key(Index topic) {
 std::vector<float> HeadStream::make_value(Index topic) {
   const auto dir = value_dirs_.row(topic);
   std::vector<float> v(static_cast<std::size_t>(params_.head_dim));
+  key_rng_.normals(noise_, 0.0, channel_sd(params_.value_noise, params_.head_dim));
   for (std::size_t c = 0; c < v.size(); ++c) {
-    v[c] = static_cast<float>(static_cast<double>(dir[c]) +
-                              key_rng_.normal(0.0, params_.value_noise /
-                                                       std::sqrt(static_cast<double>(
-                                                           params_.head_dim))));
+    v[c] = static_cast<float>(static_cast<double>(dir[c]) + noise_[c]);
   }
   return v;
 }
@@ -200,12 +211,10 @@ void HeadStream::materialize_next_query() {
 
   for (Index sub = 0; sub < params_.queries_per_kv; ++sub) {
     std::vector<float> q = base;
-    auto& rng = sub_query_rngs_[static_cast<std::size_t>(sub)];
-    for (float& x : q) {
-      x = static_cast<float>(static_cast<double>(x) +
-                             rng.normal(0.0, params_.query_noise /
-                                                 std::sqrt(static_cast<double>(
-                                                     params_.head_dim))));
+    sub_query_rngs_[static_cast<std::size_t>(sub)].normals(
+        noise_, 0.0, channel_sd(params_.query_noise, params_.head_dim));
+    for (std::size_t c = 0; c < q.size(); ++c) {
+      q[c] = static_cast<float>(static_cast<double>(q[c]) + noise_[c]);
     }
     // Queries are orthogonal to the outlier channels: their large
     // magnitudes perturb key *distances* (the KIVI effect §III-B cites

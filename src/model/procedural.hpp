@@ -101,6 +101,7 @@ class HeadStream {
   std::vector<float> sink_dir_;
   std::vector<Index> outlier_channel_ids_;
   std::vector<float> outlier_channel_offset_;
+  std::vector<double> noise_;  ///< head_dim normal draws, reused per token
 
   std::vector<Index> topic_assignment_;  ///< per position
   Matrix keys_;

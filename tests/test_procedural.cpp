@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numeric>
 #include <set>
 
 #include "model/procedural.hpp"
+#include "stream_digest.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/softmax.hpp"
 #include "tensor/stats.hpp"
@@ -276,6 +278,31 @@ TEST(ProceduralModel, BoundsChecked) {
   ProceduralContextModel model(shape, p, 79, 10);
   EXPECT_THROW((void)model.head(1, 0), std::invalid_argument);
   EXPECT_THROW((void)model.head(0, 1), std::invalid_argument);
+}
+
+// Stream guard: keys, values and the first 8 queries of a pinned 2-head
+// context, against a golden digest. Every bench and perfbench figure is
+// derived from these streams, so a generator change that moves one bit
+// of them fails here first.
+TEST(ProceduralModel, ContextMatchesGoldenDigest) {
+  SimShape shape;
+  shape.num_layers = 1;
+  shape.num_heads = 2;
+  shape.head_dim = 64;
+  ProceduralContextModel model(shape, ProceduralParams{}, 2024, 600);
+  std::vector<Index> pinned(24);
+  std::iota(pinned.begin(), pinned.end(), Index{300});
+  model.pin_focus(2, 5, pinned);
+  StreamDigest digest;
+  for (Index h = 0; h < shape.num_heads; ++h) {
+    HeadStream& head = model.head(0, h);
+    digest.add_all<float>(head.keys().flat());
+    digest.add_all<float>(head.values().flat());
+    for (Index step = 0; step < 8; ++step) {
+      digest.add_all<float>(head.query(step));
+    }
+  }
+  EXPECT_EQ(digest.value(), 13389299797023562305ULL);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -214,8 +215,8 @@ TEST(BatchScheduler, BudgetAndSinkInvariantsHold) {
   // enforcement has to preempt; small chunks so the invariants are
   // exercised mid-prefill, not just between whole-prompt admissions.
   const Index per_token = session_token_bytes(session_config);
-  const Index floor_tokens =
-      ckv.sink_tokens + ckv.decode_interval + ckv.cache_depth * session_config.engine.budget;
+  const Index floor_tokens = ckv.sink_tokens + ckv.decode_interval +
+                             ckv.cache_depth * session_config.engine.budget;
   config.fast_tier_budget_bytes =
       2 * floor_tokens * per_token * session_config.shape.total_heads();
   config.admission_overcommit = 2.0;
@@ -267,8 +268,8 @@ TEST(BatchScheduler, ConstrainedBudgetForcesQueueing) {
   const auto ckv = small_ckv_config();
   auto config = tiered_scheduler_config(ckv, session_config);
   const Index per_token = session_token_bytes(session_config);
-  const Index floor_tokens =
-      ckv.sink_tokens + ckv.decode_interval + ckv.cache_depth * session_config.engine.budget;
+  const Index floor_tokens = ckv.sink_tokens + ckv.decode_interval +
+                             ckv.cache_depth * session_config.engine.budget;
   // Exactly one session fits: the rest must queue.
   config.fast_tier_budget_bytes =
       floor_tokens * per_token * session_config.shape.total_heads() + 1;

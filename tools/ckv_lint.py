@@ -12,6 +12,13 @@ determinism contract (docs/PERFORMANCE.md) and the concurrency contract
                     rand/srand, default-constructed mt19937) outside the
                     seeded wrapper in src/tensor/rng.hpp. Every stream of
                     randomness must be reproducible from a named seed.
+  raw-random        No std:: engines (std::mt19937*), distributions
+                    (std::*_distribution) or std::generate_canonical
+                    outside src/tensor/rng.* and the std oracle test
+                    (tests/test_rng_oracle.cpp). Their streams differ
+                    across standard libraries, and the seeded streams
+                    every figure is built on come from ckv::Rng's
+                    bit-exact replica; draw through it.
   unordered-iter    No iteration over std::unordered_map/set variables:
                     bucket order is implementation-defined, so anything
                     ordered derived from it silently varies across
@@ -82,6 +89,7 @@ ALLOW_RE = re.compile(r"ckv-lint:\s*allow\(([a-z\-,\s]+)\)\s*--\s*\S")
 RULE_ALLOWED_PREFIXES = {
     "wall-clock": ("src/obs/", "bench/"),
     "unseeded-rng": ("src/tensor/rng.",),
+    "raw-random": ("src/tensor/rng.", "tests/test_rng_oracle.cpp"),
     "unordered-iter": (),
     "raw-thread": ("src/util/parallel.",),
     "float-accumulate": ("src/tensor/vec_ops.",),
@@ -104,6 +112,9 @@ SIMPLE_RULES = {
         r"std::random_device|\brand\s*\(\s*\)|\bsrand\s*\("
         r"|std::mt19937(?:_64)?\s+\w+\s*[;{]"
     ),
+    "raw-random": re.compile(
+        r"std::mt19937\w*|std::\w+_distribution\b|std::generate_canonical\b"
+    ),
     "raw-thread": re.compile(
         r"std::thread\b(?!::)|std::jthread\b|std::async\b|#\s*pragma\s+omp"
     ),
@@ -115,6 +126,9 @@ RULE_MESSAGES = {
     "code must stay on the virtual clock",
     "unseeded-rng": "ambient-seeded randomness — route through the seeded "
     "RNG in src/tensor/rng.hpp",
+    "raw-random": "raw std:: random engine or distribution — draw through "
+    "ckv::Rng (src/tensor/rng.hpp), whose streams are the same on every "
+    "standard library",
     "unordered-iter": "iteration over an unordered container ({var}) — "
     "bucket order is implementation-defined; sort first or justify with a "
     "suppression",
