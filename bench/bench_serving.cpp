@@ -10,7 +10,8 @@
 // whole context and queue instead.
 //
 // Four ClusterKV rows isolate the chunked-prefill and fetch-overlap
-// trade-offs:
+// trade-offs. Every ClusterKV row bills its slow->fast fetches on one
+// bandwidth-contended wire its sessions share (sim/transfer_engine):
 //   "ClusterKV (prefetch)" — chunked prefill + repair + async cluster
 //                            prefetch: predicted next-step clusters fetch
 //                            slow->fast overlapped with the current
@@ -70,7 +71,7 @@ struct ServingSetup {
   TraceConfig trace;
   std::int64_t fast_budget_bytes = 0;
   std::uint64_t seed = 2025;
-  /// Modeled slow->fast link bandwidth for the transfer-engine row
+  /// Modeled slow->fast link bandwidth of every ClusterKV row
   /// (--link-gbps); 0 picks the hardware model's gather rate.
   double link_gbps = 0.0;
 };
@@ -79,8 +80,9 @@ struct ServingSetup {
 /// per step at 20-token granularity, so covering the ~10 clusters at and
 /// just below the selection cutoff catches most step-to-step rotation
 /// (the trimmed cluster's tail and jitter flip-flops; focus drift to a
-/// brand-new topic is inherently unpredictable). Waste is cheap — issued
-/// bytes hide under the step's compute — so depth errs generous.
+/// brand-new topic is inherently unpredictable). Waste is cheap —
+/// speculative copies drain behind demand traffic on the wire — so depth
+/// errs generous.
 constexpr Index kPrefetchClusters = 10;
 constexpr double kPrefetchPriorWeight = 1.0;
 constexpr double kPrefetchPriorDecay = 0.8;
@@ -132,18 +134,16 @@ std::vector<MethodRun> serving_methods(const ServingSetup& setup,
                                        bool clusterkv_only = false) {
   std::vector<MethodRun> methods;
 
-  BatchSchedulerConfig ckv_config;
-  ckv_config.method = LatencyModel::Method::kClusterKV;
-  ckv_config.tiered_residency = true;
-  ckv_config.sink_tokens = setup.clusterkv.sink_tokens;
-  ckv_config.decode_interval = setup.clusterkv.decode_interval;
-  ckv_config.cache_depth = setup.clusterkv.cache_depth;
-  ckv_config.tokens_per_cluster = setup.clusterkv.tokens_per_cluster;
-  ckv_config.admission_overcommit = 1.5;
-  ckv_config.fast_tier_budget_bytes = setup.fast_budget_bytes;
-  ckv_config.prefill_chunk_tokens = 256;  // ~3-7 chunks per long prompt
-  ckv_config.repair_refine_iterations = setup.clusterkv.repair_refine_iterations;
-  ckv_config.repair_decode_interval = setup.clusterkv.repair_decode_interval;
+  // Every ClusterKV row mirrors its own engine config into the scheduler
+  // and shares the budget, overcommit, chunking and link.
+  const auto clusterkv_rows_config = [&](const ClusterKVConfig& ckv) {
+    BatchSchedulerConfig config = clusterkv_scheduler_config(ckv);
+    config.admission_overcommit = 1.5;
+    config.fast_tier_budget_bytes = setup.fast_budget_bytes;
+    config.prefill_chunk_tokens = 256;  // ~3-7 chunks per long prompt
+    config.link_gbps = setup.link_gbps;
+    return config;
+  };
 
   // Serving default: repair + async cluster prefetch. Same engine seed
   // and clustering knobs as the sync row — selection is bit-identical,
@@ -152,36 +152,18 @@ std::vector<MethodRun> serving_methods(const ServingSetup& setup,
   prefetch_ckv.prefetch_clusters = kPrefetchClusters;
   prefetch_ckv.prefetch_prior_weight = kPrefetchPriorWeight;
   prefetch_ckv.prefetch_prior_decay = kPrefetchPriorDecay;
-  BatchSchedulerConfig prefetch_config = ckv_config;
-  prefetch_config.prefetch_clusters = kPrefetchClusters;
   methods.push_back({"ClusterKV (prefetch)",
                      make_clusterkv_factory(prefetch_ckv, setup.seed),
-                     prefetch_config});
-
-  // Same prefetch policy over the explicit bandwidth-contended wire
-  // (sim/transfer_engine): demand misses and speculative copies of every
-  // running session share one queue at --link-gbps, so the dm-stall /
-  // link-util / late-pf columns surface what the closed-form prefetch row
-  // hides — concurrent sessions contending for slow->fast bandwidth. With
-  // a single session and an idle wire this row reproduces the closed-form
-  // prefetch row (the --check-transfer guard pins the 1% equivalence).
-  BatchSchedulerConfig engine_config = prefetch_config;
-  engine_config.use_transfer_engine = true;
-  engine_config.link_gbps = setup.link_gbps;
-  methods.push_back({"ClusterKV (engine)",
-                     make_clusterkv_factory(prefetch_ckv, setup.seed),
-                     engine_config});
+                     clusterkv_rows_config(prefetch_ckv)});
 
   methods.push_back({"ClusterKV (repair)",
                      make_clusterkv_factory(setup.clusterkv, setup.seed),
-                     ckv_config});
+                     clusterkv_rows_config(setup.clusterkv)});
 
   // Repair off: the chunk-local clustering recall regression, isolated.
   ClusterKVConfig no_repair = setup.clusterkv;
   no_repair.repair_refine_iterations = 0;
-  BatchSchedulerConfig chunked_config = ckv_config;
-  chunked_config.repair_refine_iterations = 0;
-  chunked_config.repair_decode_interval = 0;
+  const BatchSchedulerConfig chunked_config = clusterkv_rows_config(no_repair);
   methods.push_back({"ClusterKV (chunked)",
                      make_clusterkv_factory(no_repair, setup.seed),
                      chunked_config});
@@ -413,7 +395,7 @@ int check_prefetch(const ServingSetup& base_setup, const LatencyModel& latency) 
 }
 
 /// Committed bounds for the --check-faults CI guard (docs/ROBUSTNESS.md):
-/// under the chaos preset the faulted engine row must keep this share of
+/// under the chaos preset the faulted prefetch row must keep this share of
 /// its fault-free throughput, and under the harsher degraded-path leg the
 /// share of decode steps served resident-only must stay below this
 /// ceiling (degradation is a last resort, not the steady state).
@@ -423,12 +405,6 @@ constexpr double kDegradedRateCeiling = 0.10;
 /// retry exhaustion (dead fetches -> degraded steps) actually fires in a
 /// 16-request run, which the milder chaos preset cannot guarantee.
 constexpr double kHarshFetchFailureRate = 0.45;
-
-/// Tolerance of the --check-transfer single-session guard: with one
-/// session and an idle wire the engine row must reproduce the closed-form
-/// prefetch row's throughput to within this relative margin (the two paths
-/// bill the same bytes at the same rate; only queue contention may differ).
-constexpr double kTransferEquivalenceTol = 0.01;
 
 /// Narrow link used by the contention leg of --check-transfer and the
 /// determinism CI smoke: slow enough that 16 concurrent sessions pile a
@@ -446,29 +422,25 @@ const MethodRun* find_method(const std::vector<MethodRun>& methods,
   return nullptr;
 }
 
-/// CI smoke for the transfer engine, three legs:
-///   1. single-session equivalence — one request on an idle wire must
-///      match the closed-form prefetch row's throughput within 1%;
-///   2. contention — at a fixed narrow link the mean per-step demand
+/// CI smoke for the transfer engine, two legs on the serving-default
+/// (prefetch) row (the single-session closed-form oracle is the unit test
+/// TransferEngineServe.LoneSessionStallEqualsClosedFormTransfer):
+///   1. contention — at a fixed narrow link the mean per-step demand
 ///      stall must grow when the fleet grows from 1 to 16 sessions;
-///   3. bandwidth monotonicity — fleet throughput must be non-decreasing
+///   2. bandwidth monotonicity — fleet throughput must be non-decreasing
 ///      in --link-gbps (a faster wire can never slow serving down).
 int check_transfer(const ServingSetup& setup, const LatencyModel& latency) {
   const auto methods = serving_methods(setup, /*clusterkv_only=*/true);
-  const MethodRun* closed = find_method(methods, "ClusterKV (prefetch)");
-  const MethodRun* engine = find_method(methods, "ClusterKV (engine)");
-  if (closed == nullptr || engine == nullptr) {
+  const MethodRun* prefetch = find_method(methods, "ClusterKV (prefetch)");
+  if (prefetch == nullptr) {
     std::cout << "FAIL: bench rows renamed; --check-transfer needs the "
-                 "prefetch and engine rows\n";
+                 "prefetch row\n";
     return 1;
   }
-  const auto run = [&](const MethodRun& method, const TraceConfig& tc,
-                       double link_gbps) {
-    BatchSchedulerConfig config = method.scheduler;
-    if (config.use_transfer_engine) {
-      config.link_gbps = link_gbps;
-    }
-    BatchScheduler scheduler(make_poisson_trace(tc, setup.seed), method.factory,
+  const auto run = [&](const TraceConfig& tc, double link_gbps) {
+    BatchSchedulerConfig config = prefetch->scheduler;
+    config.link_gbps = link_gbps;
+    BatchScheduler scheduler(make_poisson_trace(tc, setup.seed), prefetch->factory,
                              setup.session, latency, config);
     scheduler.run();
     struct Out {
@@ -490,25 +462,10 @@ int check_transfer(const ServingSetup& setup, const LatencyModel& latency) {
   TraceConfig solo_tc = setup.trace;
   solo_tc.num_requests = 1;
   solo_tc.offered_rps = 6.0;
-  const auto closed_solo = run(*closed, solo_tc, 0.0);
-  const auto engine_solo = run(*engine, solo_tc, 0.0);
-  const double rel = closed_solo.tps > 0.0
-                         ? std::abs(engine_solo.tps - closed_solo.tps) / closed_solo.tps
-                         : 0.0;
-  std::cout << "single session: closed-form " << format_double(closed_solo.tps, 2)
-            << " tok/s, engine " << format_double(engine_solo.tps, 2)
-            << " tok/s (rel diff " << format_double(rel, 4) << ")\n";
-  if (rel > kTransferEquivalenceTol) {
-    std::cout << "FAIL: single-session engine row drifted more than "
-              << format_double(kTransferEquivalenceTol * 100.0, 0)
-              << "% from the closed-form prefetch row\n";
-    ok = false;
-  }
-
   TraceConfig fleet_tc = setup.trace;
   fleet_tc.offered_rps = 1000.0;  // the whole fleet arrives at once
-  const auto solo_narrow = run(*engine, solo_tc, kContendedLinkGbps);
-  const auto fleet_narrow = run(*engine, fleet_tc, kContendedLinkGbps);
+  const auto solo_narrow = run(solo_tc, kContendedLinkGbps);
+  const auto fleet_narrow = run(fleet_tc, kContendedLinkGbps);
   const double solo_mean =
       solo_narrow.stall_steps > 0
           ? solo_narrow.stall_ms / static_cast<double>(solo_narrow.stall_steps)
@@ -532,7 +489,7 @@ int check_transfer(const ServingSetup& setup, const LatencyModel& latency) {
   double prev_gbps = 0.0;
   bool first = true;
   for (const double gbps : {2.5, 5.0, 10.0, 25.0}) {
-    const auto out = run(*engine, fleet_tc, gbps);
+    const auto out = run(fleet_tc, gbps);
     std::cout << "link " << format_double(gbps, 1) << " GB/s: "
               << format_double(out.tps, 2) << " tok/s, demand stall "
               << format_double(out.stall_ms, 1) << " ms\n";
@@ -550,14 +507,13 @@ int check_transfer(const ServingSetup& setup, const LatencyModel& latency) {
   }
 
   if (ok) {
-    std::cout << "OK: engine matches closed-form solo (rel diff "
-              << format_double(rel, 4) << "), stalls grow with fleet size, and "
-              << "throughput is monotone in link bandwidth\n";
+    std::cout << "OK: stalls grow with fleet size and throughput is "
+                 "monotone in link bandwidth\n";
   }
   return ok ? 0 : 1;
 }
 
-/// One chaos-table row: the transfer-engine config under a seeded fault
+/// One chaos-table row: the serving-default config under a seeded fault
 /// plan, with the degradation ledger next to the usual quality columns.
 struct FaultRow {
   double load = 0.0;
@@ -612,21 +568,21 @@ FaultRow make_fault_row(double load, const ServeMetrics& m,
   return row;
 }
 
-/// Runs the engine row once at the given load under the given fault plan
+/// Runs the prefetch row once at the given load under the given fault plan
 /// (or fault-free when the plan is disabled) and folds the metrics into a
 /// FaultRow (ServeMetrics itself is pinned to its scheduler).
-FaultRow run_engine_cell(const ServingSetup& setup, const LatencyModel& latency,
+FaultRow run_fault_cell(const ServingSetup& setup, const LatencyModel& latency,
                          double load, const FaultPlan& plan,
                          double fault_free_tps) {
   TraceConfig trace_config = setup.trace;
   trace_config.offered_rps = load;
   const auto methods = serving_methods(setup, /*clusterkv_only=*/true);
-  const MethodRun* engine = find_method(methods, "ClusterKV (engine)");
-  expects(engine != nullptr, "bench_serving: engine row missing");
-  BatchSchedulerConfig config = engine->scheduler;
+  const MethodRun* prefetch = find_method(methods, "ClusterKV (prefetch)");
+  expects(prefetch != nullptr, "bench_serving: prefetch row missing");
+  BatchSchedulerConfig config = prefetch->scheduler;
   config.fault_plan = plan;
   BatchScheduler scheduler(make_poisson_trace(trace_config, setup.seed),
-                           engine->factory, setup.session, latency, config);
+                           prefetch->factory, setup.session, latency, config);
   scheduler.run();
   return make_fault_row(load, scheduler.metrics(), fault_free_tps);
 }
@@ -650,7 +606,7 @@ bool fault_identities_hold(const FaultRow& row) {
   return ok;
 }
 
-/// CI chaos guard, two legs on the transfer-engine row at mid load:
+/// CI chaos guard, two legs on the prefetch row at mid load:
 ///   1. chaos preset — the committed fault mix must retry-to-success or
 ///      degrade every injected fault (accounting identities), and the
 ///      faulted row must keep >= 80% of fault-free throughput;
@@ -662,11 +618,11 @@ int check_faults(const ServingSetup& setup, const LatencyModel& latency,
   bool ok = true;
   const double load = 6.0;
   const FaultRow free_row =
-      run_engine_cell(setup, latency, load, FaultPlan{}, 0.0);
+      run_fault_cell(setup, latency, load, FaultPlan{}, 0.0);
 
   const FaultPlan chaos = FaultPlan::chaos(fault_seed);
   const FaultRow chaos_row =
-      run_engine_cell(setup, latency, load, chaos, free_row.tps);
+      run_fault_cell(setup, latency, load, chaos, free_row.tps);
   std::cout << "chaos leg: " << chaos_row.faults << " faulted fetches ("
             << chaos_row.retried_ok << " recovered, " << chaos_row.dead_fetches
             << " dead), " << chaos_row.wire_retries << " wire retries, "
@@ -691,7 +647,7 @@ int check_faults(const ServingSetup& setup, const LatencyModel& latency,
   FaultPlan harsh = chaos;
   harsh.fetch_failure_rate = kHarshFetchFailureRate;
   const FaultRow harsh_row =
-      run_engine_cell(setup, latency, load, harsh, free_row.tps);
+      run_fault_cell(setup, latency, load, harsh, free_row.tps);
   std::cout << "harsh leg: " << harsh_row.dead_fetches << " dead fetches -> "
             << harsh_row.degraded_steps << " degraded steps (rate "
             << format_double(harsh_row.degraded_rate, 4) << "), "
@@ -754,7 +710,7 @@ struct ServingRow {
   double pf_waste_enf = 0.0;
   double pf_waste_rel = 0.0;
   double recall = 0.0;
-  // Transfer-engine columns (zero unless the row models the wire).
+  // Transfer-engine columns (ClusterKV rows; null for untiered methods).
   bool has_engine = false;
   double demand_stall_ms = 0.0;
   double link_utilization = 0.0;
@@ -911,25 +867,24 @@ int main(int argc, char** argv) {
                   "the committed floor, throughput falls below sync fetch, or "
                   "selection is not bit-identical to sync");
   args.add_switch("check-transfer",
-                  "CI smoke: fail if the transfer-engine row drifts >1% from "
-                  "the closed-form row on a single session, if demand stall "
-                  "does not grow with fleet size, or if throughput is not "
+                  "CI smoke: fail if the prefetch row's demand stall does "
+                  "not grow with fleet size, or if its throughput is not "
                   "monotone in link bandwidth");
   args.add_switch("faults",
-                  "also run the seeded chaos rows: the transfer-engine config "
+                  "also run the seeded chaos rows: the prefetch row's config "
                   "under FaultPlan::chaos(--fault-seed) at every load, with "
                   "the degradation ledger as extra columns and a fault_rows "
                   "array in the JSON");
   args.add_switch("check-faults",
                   "CI chaos guard: fail if fault accounting leaks, if the "
-                  "faulted engine row keeps < 80% of fault-free throughput, "
+                  "faulted prefetch row keeps < 80% of fault-free throughput, "
                   "if the degraded resident-only path never runs under the "
                   "harsh leg, or if its rate exceeds the committed ceiling");
   args.add_option("fault-seed", "7777",
                   "seed of the deterministic fault plan used by --faults and "
                   "--check-faults");
   args.add_option("link-gbps", "0",
-                  "modeled slow->fast link bandwidth for the transfer-engine "
+                  "modeled slow->fast link bandwidth for every ClusterKV "
                   "row (GB/s; 0 = the hardware model's gather rate)");
   args.add_option("seed", "2025",
                   "experiment seed; every RNG in this bench (trace, contexts, "
@@ -1071,7 +1026,7 @@ int main(int argc, char** argv) {
   }
   std::cout << table.to_string();
 
-  // Link-bandwidth sweep: the engine row at the top load across a range of
+  // Link-bandwidth sweep: the prefetch row at the top load across a range of
   // wire rates. The whole point of modeling the wire explicitly — the same
   // fleet degrades as the shared link narrows, which no closed-form
   // per-session term can show. Virtual-clock columns only, so the sweep is
@@ -1083,16 +1038,16 @@ int main(int argc, char** argv) {
     trace_config.offered_rps = sweep_load;
     const auto trace = make_poisson_trace(trace_config, setup.seed);
     const auto methods = serving_methods(setup, /*clusterkv_only=*/true);
-    const MethodRun* engine = find_method(methods, "ClusterKV (engine)");
+    const MethodRun* prefetch = find_method(methods, "ClusterKV (prefetch)");
     TextTable sweep_table({"link (GB/s)", "tok/s", "dm stall (s)", "link util",
                            "late pf", "p95 ITL (ms)"});
     for (const double gbps : {2.5, 5.0, 10.0, 25.0}) {
-      BatchSchedulerConfig config = engine->scheduler;
+      BatchSchedulerConfig config = prefetch->scheduler;
       config.link_gbps = gbps;
-      BatchScheduler scheduler(trace, engine->factory, setup.session, latency,
+      BatchScheduler scheduler(trace, prefetch->factory, setup.session, latency,
                                config);
       scheduler.run();
-      ServingRow row = make_serving_row(engine->name, gbps, scheduler.metrics());
+      ServingRow row = make_serving_row(prefetch->name, gbps, scheduler.metrics());
       sweep_table.add_row({format_double(gbps, 1), format_double(row.tps, 1),
                            format_double(row.demand_stall_ms / 1000.0, 2),
                            format_double(row.link_utilization, 2),
@@ -1100,15 +1055,15 @@ int main(int argc, char** argv) {
                            format_double(row.p95_itl_ms, 1)});
       sweep_rows.push_back(row);
     }
-    std::cout << "\nLink-bandwidth sweep (ClusterKV (engine) @ "
+    std::cout << "\nLink-bandwidth sweep (ClusterKV (prefetch) @ "
               << format_double(sweep_load, 0)
               << " req/s): contention degradation as the shared slow->fast "
                  "wire narrows\n"
               << sweep_table.to_string();
   }
 
-  // Chaos rows: the engine config under the seeded fault plan, one row per
-  // load, against the fault-free engine row from the main table. The
+  // Chaos rows: the prefetch config under the seeded fault plan, one row
+  // per load, against the fault-free prefetch row from the main table. The
   // degradation column ("degr rate") is the share of decode steps served
   // resident-only because a demand fetch exhausted its retries.
   std::vector<FaultRow> fault_rows;
@@ -1121,12 +1076,12 @@ int main(int argc, char** argv) {
     for (const double load : {2.0, 6.0, 12.0}) {
       double fault_free_tps = 0.0;
       for (const ServingRow& row : rows) {
-        if (row.method == "ClusterKV (engine)" && row.load == load) {
+        if (row.method == "ClusterKV (prefetch)" && row.load == load) {
           fault_free_tps = row.tps;
         }
       }
       const FaultRow row =
-          run_engine_cell(setup, latency, load, chaos, fault_free_tps);
+          run_fault_cell(setup, latency, load, chaos, fault_free_tps);
       fault_table.add_row(
           {format_double(load, 1), format_double(row.tps, 1),
            format_double(row.fault_free_tps, 1), format_double(row.retention, 3),
@@ -1137,7 +1092,7 @@ int main(int argc, char** argv) {
            std::to_string(row.wire_failures), format_double(row.recall, 3)});
       fault_rows.push_back(row);
     }
-    std::cout << "\nChaos rows (ClusterKV (engine) under FaultPlan::chaos("
+    std::cout << "\nChaos rows (ClusterKV (prefetch) under FaultPlan::chaos("
               << fault_seed
               << ")): transient fetch faults retried with backoff, exhausted "
                  "retries degrade to resident-only selection, plus link "

@@ -47,13 +47,9 @@ int main() {
   ckv.decode_interval = 16;
   ckv.decode_clusters = 2;
 
-  BatchSchedulerConfig scheduler_config;
-  scheduler_config.method = LatencyModel::Method::kClusterKV;
-  scheduler_config.tiered_residency = true;
-  scheduler_config.sink_tokens = ckv.sink_tokens;
-  scheduler_config.decode_interval = ckv.decode_interval;
-  scheduler_config.cache_depth = ckv.cache_depth;
-  scheduler_config.tokens_per_cluster = ckv.tokens_per_cluster;
+  // The scheduler mirrors the engines' working-set, clustering and repair
+  // knobs so admission and the virtual clock match what the engines do.
+  BatchSchedulerConfig scheduler_config = clusterkv_scheduler_config(ckv);
   // Budget: ~3 ClusterKV working sets — the whole fleet could never pin
   // its full contexts (8 x ~500 tokens), recallable compression is what
   // makes the batch fit.
@@ -69,11 +65,6 @@ int main() {
   scheduler_config.admission_overcommit = 1.5;
   scheduler_config.prefill_chunk_tokens = 128;
   scheduler_config.max_running = 0;  // unlimited; the byte budget gates
-  // Cross-chunk cluster repair runs inside the engines by default (the
-  // ClusterKVConfig repair_* knobs); the scheduler mirror makes its cost
-  // land on the virtual clock at the final prefill chunk.
-  scheduler_config.repair_refine_iterations = ckv.repair_refine_iterations;
-  scheduler_config.repair_decode_interval = ckv.repair_decode_interval;
 
   const LatencyModel latency(HardwareModel::ada6000(), ModelConfig::llama31_8b());
   BatchScheduler scheduler(trace, make_clusterkv_factory(ckv, 2025),

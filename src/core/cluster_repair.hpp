@@ -35,7 +35,6 @@ struct ClusterRepairConfig {
   /// max(1, group_tokens / tokens_per_cluster) clusters (§III-B rule).
   Index tokens_per_cluster = 80;
   DistanceMetric metric = DistanceMetric::kCosine;
-  Index channel_partitions = 16;  ///< P of the update kernel (§IV-B)
 };
 
 /// What one repair pass did, plus the work accounting the latency model's

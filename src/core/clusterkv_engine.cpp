@@ -13,7 +13,7 @@ ClusterKVEngine::ClusterKVEngine(Index head_dim, const ClusterKVConfig& config,
                                  Rng rng)
     : config_(config),
       rng_(std::move(rng)),
-      tiered_(head_dim, config.element_bytes),
+      tiered_(head_dim),
       centroids_(head_dim),
       cache_(config.cache_depth),
       prefetcher_(ClusterPrefetchConfig{config.prefetch_clusters,
@@ -33,7 +33,6 @@ void ClusterKVEngine::cluster_range(Index begin, Index end, Index cluster_count)
   kconfig.num_clusters = std::max<Index>(1, std::min<Index>(cluster_count, end - begin));
   kconfig.metric = config_.cluster_metric;
   kconfig.max_iterations = config_.kmeans_max_iterations;
-  kconfig.channel_partitions = config_.channel_partitions;
   kconfig.init = config_.kmeans_init;
   const auto result = kmeans_cluster(block_keys, kconfig, rng_);
   clustering_flops_ += result.iterations *
@@ -56,7 +55,6 @@ RepairOutcome ClusterKVEngine::repair_now() {
   repair.refine_iterations = std::max<Index>(1, config_.repair_refine_iterations);
   repair.tokens_per_cluster = config_.tokens_per_cluster;
   repair.metric = config_.cluster_metric;
-  repair.channel_partitions = config_.channel_partitions;
 
   std::vector<Index> batch_firsts;
   batch_firsts.reserve(batches_.size());
@@ -223,7 +221,8 @@ SelectionResult ClusterKVEngine::select(std::span<const float> query, Index budg
   const Index cluster_budget = std::max<Index>(0, budget - always_on);
 
   if (centroids_.cluster_count() > 0 && cluster_budget > 0) {
-    const auto scores = centroids_.scores(query, config_.selection_metric);
+    // Clusters rank by centroid inner product with the query (§III-C).
+    const auto scores = centroids_.scores(query, DistanceMetric::kInnerProduct);
     ClusterSelection selection;
     if (degraded_step_) {
       // Degraded (fault) step: the slow tier is unreachable, so selection

@@ -28,11 +28,8 @@ struct ClusterKVConfig {
   Index decode_clusters = 4;       ///< C+: clusters per decode batch
   Index cache_depth = 1;           ///< R of the cluster cache (§IV-D)
   DistanceMetric cluster_metric = DistanceMetric::kCosine;       ///< §III-B
-  DistanceMetric selection_metric = DistanceMetric::kInnerProduct;  ///< §III-C
   Index kmeans_max_iterations = 20;
   KMeansInit kmeans_init = KMeansInit::kRandomSample;  ///< §III-B default
-  Index channel_partitions = 16;   ///< P of the update kernel (§IV-B)
-  Index element_bytes = 2;         ///< fp16-equivalent byte accounting
   /// Overrides C0 when positive (Fig. 11b ablation); 0 uses L / 80.
   Index fixed_cluster_count = 0;
 

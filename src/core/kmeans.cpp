@@ -10,6 +10,10 @@ namespace ckv {
 
 namespace {
 
+/// P of the centroid-update kernel (§IV-B): channels split into this many
+/// chunks, one parallel lane each.
+constexpr Index kChannelPartitions = 16;
+
 /// Re-seeds empty clusters with the keys that are worst-served by their
 /// current assignment (deterministic: lowest similarity first). With the
 /// effective cluster count clamped to keys.rows() there are always at
@@ -117,7 +121,7 @@ void run_lloyd(const Matrix& keys, const KMeansConfig& config, KMeansResult& res
     }
     result.labels = std::move(labels);
     Matrix updated;
-    centroid_update(keys, result.labels, result.centroids, config.channel_partitions,
+    centroid_update(keys, result.labels, result.centroids, kChannelPartitions,
                     updated, counts);
     result.centroids = std::move(updated);
     reseed_empty_clusters(keys, config, result.labels, result.centroids, counts);

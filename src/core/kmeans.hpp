@@ -24,7 +24,6 @@ struct KMeansConfig {
   Index num_clusters = 0;                            ///< C; must be >= 1
   DistanceMetric metric = DistanceMetric::kCosine;   ///< paper default
   Index max_iterations = 20;                         ///< safety cap
-  Index channel_partitions = 16;                     ///< P of the update kernel
   KMeansInit init = KMeansInit::kRandomSample;
 };
 

@@ -286,7 +286,7 @@ class ServeMetrics {
   [[nodiscard]] double repair_ms_total() const noexcept;
   [[nodiscard]] Index repair_ticks() const noexcept;
 
-  // ---- transfer-engine aggregates (zero when the engine is off) ----
+  // ---- transfer-engine aggregates (zero for methods other than ClusterKV) ----
 
   /// Summed engine-modeled demand stall over every decode step, and the
   /// step count behind it (mean stall = total / steps).

@@ -19,6 +19,20 @@ std::int64_t session_track(const Session& session) noexcept {
 
 }  // namespace
 
+BatchSchedulerConfig clusterkv_scheduler_config(const ClusterKVConfig& ckv) {
+  BatchSchedulerConfig config;
+  config.method = LatencyModel::Method::kClusterKV;
+  config.tiered_residency = true;
+  config.sink_tokens = ckv.sink_tokens;
+  config.decode_interval = ckv.decode_interval;
+  config.cache_depth = ckv.cache_depth;
+  config.tokens_per_cluster = ckv.tokens_per_cluster;
+  config.repair_refine_iterations = ckv.repair_refine_iterations;
+  config.repair_decode_interval = ckv.repair_decode_interval;
+  config.prefetch_clusters = ckv.prefetch_clusters;
+  return config;
+}
+
 BatchScheduler::BatchScheduler(std::vector<ServeRequest> trace,
                                SelectorFactory factory,
                                SessionConfig session_config, LatencyModel latency,
@@ -44,32 +58,25 @@ BatchScheduler::BatchScheduler(std::vector<ServeRequest> trace,
           "invariant would not cover transfers on the wire)");
   expects(config.link_gbps >= 0.0,
           "BatchScheduler: link_gbps must be >= 0 (0 = hardware gather rate)");
-  expects(!config.use_transfer_engine ||
-              (config.method == LatencyModel::Method::kClusterKV &&
-               config.tiered_residency),
-          "BatchScheduler: the transfer engine models ClusterKV's tiered "
-          "slow->fast fetch traffic; it requires method kClusterKV with "
-          "tiered_residency");
-  if (config_.use_transfer_engine) {
+  expects(config.use_transfer_engine,
+          "BatchScheduler: use_transfer_engine must be true (a stub: the "
+          "transfer engine bills every ClusterKV fetch)");
+  expects(config.method != LatencyModel::Method::kClusterKV ||
+              config.tiered_residency,
+          "BatchScheduler: kClusterKV requires tiered_residency (its fetch "
+          "traffic is the tiered store's slow->fast path)");
+  if (config_.method == LatencyModel::Method::kClusterKV) {
     transfer_link_gbps_ = config_.link_gbps > 0.0 ? config_.link_gbps
                                                   : latency_.link_gather_gbps();
     transfer_engine_ = std::make_unique<TransferEngine>(transfer_link_gbps_);
   }
   if (config_.fault_plan.enabled) {
     config_.fault_plan.validate();
-    expects(config_.method == LatencyModel::Method::kClusterKV &&
-                config_.tiered_residency,
-            "BatchScheduler: fault injection requires kClusterKV with "
-            "tiered_residency (graceful degradation falls back to "
-            "resident-only cluster selection)");
-    expects(config_.use_transfer_engine ||
-                (config_.fault_plan.brownout_period_ms == 0.0 &&
-                 config_.fault_plan.wire_failure_rate == 0.0),
-            "BatchScheduler: link brownouts and wire failures model the "
-            "transfer engine's wire; enable use_transfer_engine");
+    expects(config_.method == LatencyModel::Method::kClusterKV,
+            "BatchScheduler: fault injection requires kClusterKV (graceful "
+            "degradation falls back to resident-only cluster selection)");
     fault_injector_ = std::make_unique<FaultInjector>(config_.fault_plan);
-    if (transfer_engine_ != nullptr &&
-        config_.fault_plan.wire_failure_rate > 0.0) {
+    if (config_.fault_plan.wire_failure_rate > 0.0) {
       transfer_engine_->set_fault_hook(
           [injector = fault_injector_.get()](std::uint64_t id, Index client,
                                              Index attempt) {
@@ -134,27 +141,11 @@ StepBreakdown BatchScheduler::step_cost(const Session& session) const {
     case LatencyModel::Method::kFullKV:
       return latency_.full_kv_step(context);
     case LatencyModel::Method::kClusterKV: {
-      // Measured miss rate so far; the first selection after prefill has no
-      // history (hit rate 0) and misses everything.
-      const double miss_rate = 1.0 - session.cache_hit_rate();
+      // Compute-only step: the fetch stall is billed from the transfer
+      // engine's contended queue in the tick pre-pass (one shared wire).
       const Index clusters =
           std::max<Index>(1, context / std::max<Index>(1, config_.tokens_per_cluster));
-      if (config_.use_transfer_engine) {
-        // Compute-only step: the fetch stall is billed from the transfer
-        // engine's contended queue in the tick pre-pass (one shared wire),
-        // not by the closed-form per-session division.
-        return latency_.clusterkv_step(context, budget, 0.0, clusters);
-      }
-      if (config_.prefetch_clusters > 0) {
-        // Overlap-aware split: only the misses the prediction failed to
-        // cover stall; issued speculative traffic (hits + waste) hides
-        // under the step's own compute.
-        return latency_.clusterkv_prefetch_step(context, budget,
-                                                session.demand_miss_rate(),
-                                                session.prefetch_issue_rate(),
-                                                clusters);
-      }
-      return latency_.clusterkv_step(context, budget, miss_rate, clusters);
+      return latency_.clusterkv_step(context, budget, 0.0, clusters);
     }
     case LatencyModel::Method::kQuest:
       return latency_.quest_step(context, budget);
@@ -473,9 +464,9 @@ double BatchScheduler::projected_demand_bytes(const Session& session) const {
   const Index context = session.request().prompt_len + session.tokens_generated();
   const double attended =
       static_cast<double>(std::min<Index>(session_config_.engine.budget, context));
-  // The same measured rate the closed-form path bills with, so a lone
-  // session on an idle wire reproduces the closed-form transfer term
-  // exactly (the single-session calibration contract).
+  // The measured demand rate, so a lone session on an idle wire bills
+  // exactly LatencyModel::clusterkv_step's closed-form transfer term at
+  // that rate (the single-session calibration oracle in test_serve).
   const double demand_rate = config_.prefetch_clusters > 0
                                  ? session.demand_miss_rate()
                                  : 1.0 - session.cache_hit_rate();
@@ -736,7 +727,7 @@ double BatchScheduler::begin_tick() {
   // together.
   const double link_rate_factor =
       fault_injector_ != nullptr ? fault_injector_->rate_factor_at(now_ms_) : 1.0;
-  if (fault_injector_ != nullptr && transfer_engine_ != nullptr) {
+  if (fault_injector_ != nullptr) {
     transfer_engine_->set_rate_factor(link_rate_factor);
   }
   return link_rate_factor;
@@ -838,7 +829,7 @@ BatchScheduler::TickPlan BatchScheduler::plan_tick(double link_rate_factor) {
   // tick_ms is the same double on every run.
   const bool repair_billed = config_.method == LatencyModel::Method::kClusterKV &&
                              config_.repair_refine_iterations > 0;
-  // Engine-mode demand billing: the wire serves one contended queue, so a
+  // ClusterKV demand billing: the wire serves one contended queue, so a
   // decoder's stall is the completion time of the backlog plus every
   // demand request at or ahead of its position — later decoders wait
   // longer, which is exactly how fleet contention becomes visible. The

@@ -7,8 +7,10 @@
 //      prompt chunk of prefill_chunk_tokens, decoding sessions run one
 //      decode step round-robin. The tick bills a mixed prefill+decode cost:
 //      decoders share one weight pass and one framework overhead, each adds
-//      its private KV-read / selection / transfer cost, and each prefill
-//      chunk adds its causal-prefix attention + GEMM compute (plus visible
+//      its private KV-read / selection cost (ClusterKV demand fetches queue
+//      on one contended slow->fast wire, sim/transfer_engine, whose backlog
+//      the tick bills), and each prefill chunk adds its causal-prefix
+//      attention + GEMM compute (plus visible
 //      clustering overhead for ClusterKV; the final chunk of a multi-chunk
 //      prompt also bills one cross-chunk cluster-repair pass, as does every
 //      repair_decode_interval-th decode step when periodic repair is on);
@@ -30,6 +32,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/clusterkv_engine.hpp"
 #include "kvcache/tiered_store.hpp"
 #include "metrics/serve_metrics.hpp"
 #include "obs/trace.hpp"
@@ -51,8 +54,9 @@ struct BatchSchedulerConfig {
   Index max_running = 0;
   /// Latency composition for the virtual clock.
   LatencyModel::Method method = LatencyModel::Method::kClusterKV;
-  /// True for methods with a tiered store (ClusterKV): admission projects
-  /// the bounded working-set floor instead of the full context.
+  /// True for methods with a tiered store (ClusterKV, which requires it):
+  /// admission projects the bounded working-set floor instead of the full
+  /// context.
   bool tiered_residency = false;
   /// Floor parameters when tiered_residency (match the engine's config).
   Index sink_tokens = 16;
@@ -81,35 +85,37 @@ struct BatchSchedulerConfig {
   /// off, nothing billed.
   Index repair_refine_iterations = 4;
   Index repair_decode_interval = 0;
-  /// Async cluster-prefetch billing mirror (match the engine's
-  /// ClusterKVConfig::prefetch_clusters): > 0 bills ClusterKV decode steps
-  /// with the overlap-aware transfer split — demand misses stall as
-  /// before, speculatively issued fetches hide under the step's compute
-  /// via LatencyModel::overlapped_fetch_ms. 0 = sync-fetch billing.
-  /// Residency-wise nothing changes here: in-flight fetch bytes reach the
+  /// Async cluster-prefetch mirror (match the engine's
+  /// ClusterKVConfig::prefetch_clusters): > 0 bills ClusterKV demand
+  /// traffic at the measured demand-miss rate and puts each step's
+  /// speculative fetches on the transfer engine's wire, where a copy still
+  /// queued when the selection wants it turns back into demand. It also
+  /// widens the fan-out guard's growth bound by one speculative round. In
+  /// residency terms nothing changes here: in-flight fetch bytes reach the
   /// budget through the ledger's reserved counter regardless.
   Index prefetch_clusters = 0;
-  /// Model the slow->fast link as an explicit bandwidth-contended queue
-  /// (sim/transfer_engine) instead of per-session bytes/bandwidth
-  /// division: each tick's demand stall becomes the engine's modeled
-  /// completion time for the fleet's queued demand bytes (drain order
-  /// demand > speculative, FIFO within a class), so concurrent sessions'
-  /// misses and prefetches contend for the wire. Requires kClusterKV with
-  /// tiered_residency — the engine models that method's tiered fetch
-  /// traffic. Off by default: every existing row keeps the closed-form
-  /// per-session billing byte-identically.
-  bool use_transfer_engine = false;
-  /// Link bandwidth for the transfer engine (GB/s); 0 = the hardware
+  /// Stub kept so callers that still set it compile: ClusterKV fetch
+  /// traffic is always billed by the transfer engine (sim/transfer_engine),
+  /// and the constructor rejects false. Nothing else reads it.
+  bool use_transfer_engine = true;
+  /// Bandwidth of the modeled slow->fast link (GB/s); 0 = the hardware
   /// model's pcie_gather_gbps. Sweeping this down makes contention bite.
   double link_gbps = 0.0;
   /// Deterministic fault injection (docs/ROBUSTNESS.md). Disabled by
   /// default: every fault branch in the scheduler is gated on the plan,
   /// so a disabled plan reproduces the fault-free schedule byte for
-  /// byte. When enabled, requires kClusterKV with tiered_residency (the
-  /// degradation fallback is resident-only cluster selection); brownout
-  /// and wire-failure knobs additionally require use_transfer_engine.
+  /// byte. When enabled, requires kClusterKV (the degradation fallback is
+  /// resident-only cluster selection; brownouts and wire failures act on
+  /// its transfer engine).
   FaultPlan fault_plan;
 };
+
+/// Scheduler config for sessions built by make_clusterkv_factory(ckv):
+/// kClusterKV with tiered residency, and every knob the scheduler mirrors
+/// (working-set floor, cluster granularity, repair, prefetch) copied from
+/// `ckv`. Budget, overcommit, chunking, link and faults keep their defaults.
+[[nodiscard]] BatchSchedulerConfig clusterkv_scheduler_config(
+    const ClusterKVConfig& ckv);
 
 class BatchScheduler {
  public:
@@ -327,7 +333,7 @@ class BatchScheduler {
   void mark_resume_if_preempted(const Session& session)
       CKV_REQUIRES(serial_phase_);
 
-  // ---- transfer-engine mode (config_.use_transfer_engine) ----
+  // ---- the slow->fast wire (ClusterKV schedulers only) ----
 
   /// One session's outstanding speculative transfer on the engine's queue:
   /// issued at the decode commit that billed the prefetch, resolved into
@@ -344,7 +350,7 @@ class BatchScheduler {
   [[nodiscard]] double model_bytes_per_step_token() const;
   /// Demand bytes this decoder is projected to put on the wire this step
   /// (its measured demand rate x attended tokens, model scale) — the
-  /// engine-mode billing pre-pass input, a pure function of pre-tick state.
+  /// billing pre-pass input, a pure function of pre-tick state.
   [[nodiscard]] double projected_demand_bytes(const Session& session) const;
   /// Decode-commit engine bookkeeping: resolves the session's outstanding
   /// speculation against the step's observed hits (late hits re-enqueue as
@@ -386,7 +392,7 @@ class BatchScheduler {
   /// Preemption count last observed per running session id — the
   /// scheduler's memory for preempt -> resume trace edges.
   std::unordered_map<Index, Index> preempt_seen_ CKV_GUARDED_BY(serial_phase_);
-  /// The contended slow->fast wire (null unless use_transfer_engine). All
+  /// The contended slow->fast wire (null unless method is kClusterKV). All
   /// engine state advances in the serial phase on the virtual clock.
   std::unique_ptr<TransferEngine> transfer_engine_ CKV_GUARDED_BY(serial_phase_);
   /// Effective engine link rate (GB/s) — config_.link_gbps or the

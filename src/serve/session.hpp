@@ -199,9 +199,6 @@ class Session {
   /// split's demand term (equals 1 - cache_hit_rate with prefetch off).
   /// 1.0 before any selection, mirroring cache_hit_rate's pessimism.
   [[nodiscard]] double demand_miss_rate() const;
-  /// Speculative fetches issued per selected token (hits and waste both
-  /// occupy the wire); 0 before any selection.
-  [[nodiscard]] double prefetch_issue_rate() const;
 
   /// The per-session decode engine (selector state; testing/metrics hook).
   [[nodiscard]] DecodeEngine& engine() noexcept { return *engine_; }

@@ -58,17 +58,13 @@ class LatencyModel {
 
   // ---- transfer-engine support (sim/transfer_engine) ----
   // The engine models the slow->fast wire explicitly; these expose the
-  // hardware terms the closed-form paths bill with, so the two stay one
-  // parameterization (single-session engine rows must reproduce the
-  // closed-form columns).
+  // hardware terms clusterkv_step's closed-form transfer term bills with,
+  // so the two stay one parameterization (a lone session on an idle wire
+  // bills exactly the closed form, which serves as the engine's oracle).
 
   /// Modeled slow->fast gather bandwidth (GB/s).
   [[nodiscard]] double link_gather_gbps() const noexcept {
     return hw_.pcie_gather_gbps;
-  }
-  /// Fraction of fetch time hidden under compute by the gather pipeline.
-  [[nodiscard]] double transfer_overlap() const noexcept {
-    return hw_.transfer_overlap;
   }
   /// Wire bytes of one fetched token's KV entry at model scale (the byte
   /// unit every closed-form transfer term bills with); 0 = storage width.
@@ -132,28 +128,6 @@ class LatencyModel {
   [[nodiscard]] StepBreakdown clusterkv_step(Index context_len, Index budget,
                                              double miss_rate, Index clusters,
                                              Index transfer_element_bytes = 0) const;
-
-  /// Visible PCIe time of an asynchronously issued gather of `bytes`,
-  /// overlapped with `compute_ms` of the issuing step's computation: the
-  /// fetch cost hides under the compute up to its full duration and only
-  /// the remainder is billed (0 when the copy finishes first).
-  [[nodiscard]] double overlapped_fetch_ms(double bytes,
-                                           double compute_ms) const noexcept;
-
-  /// ClusterKV step with async cluster prefetch (core/cluster_prefetch):
-  /// demand_miss_rate = measured share of attended tokens fetched
-  /// synchronously this step (misses the prediction failed to cover);
-  /// prefetch_issue_rate = speculative fetch traffic issued per attended
-  /// token (hits *and* waste — mispredicted bytes occupy the wire too).
-  /// The demand share bills like clusterkv_step's transfer term; the
-  /// issued share bills via overlapped_fetch_ms against the step's own
-  /// compute, so a well-predicted fetch costs nothing visible. With
-  /// prefetch_issue_rate = 0 and demand_miss_rate = miss_rate this equals
-  /// clusterkv_step exactly (the sync-fetch baseline).
-  [[nodiscard]] StepBreakdown clusterkv_prefetch_step(
-      Index context_len, Index budget, double demand_miss_rate,
-      double prefetch_issue_rate, Index clusters,
-      Index transfer_element_bytes = 0) const;
 
   [[nodiscard]] StepBreakdown quest_step(Index context_len, Index budget,
                                          Index page_size = 16) const;

@@ -331,16 +331,7 @@ ClusterKVConfig obs_ckv_config() {
 
 BatchSchedulerConfig obs_scheduler_config(const ClusterKVConfig& ckv,
                                           const SessionConfig& session) {
-  BatchSchedulerConfig config;
-  config.method = LatencyModel::Method::kClusterKV;
-  config.tiered_residency = true;
-  config.sink_tokens = ckv.sink_tokens;
-  config.decode_interval = ckv.decode_interval;
-  config.cache_depth = ckv.cache_depth;
-  config.tokens_per_cluster = ckv.tokens_per_cluster;
-  config.repair_refine_iterations = ckv.repair_refine_iterations;
-  config.repair_decode_interval = ckv.repair_decode_interval;
-  config.prefetch_clusters = ckv.prefetch_clusters;
+  BatchSchedulerConfig config = clusterkv_scheduler_config(ckv);
   config.prefill_chunk_tokens = 64;
   // Tight budget so enforcement fires and contributes enforcement-reason
   // cancels to the attribution identity.

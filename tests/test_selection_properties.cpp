@@ -282,16 +282,7 @@ TEST_P(ServingResidencyFuzz, BudgetAndSinkInvariantsHoldUnderRandomSchedules) {
     ckv.prefetch_clusters = rng.uniform_int(0, 4);
     ckv.prefetch_prior_decay = rng.uniform(0.0, 0.95);
 
-    BatchSchedulerConfig config;
-    config.method = LatencyModel::Method::kClusterKV;
-    config.tiered_residency = true;
-    config.sink_tokens = ckv.sink_tokens;
-    config.decode_interval = ckv.decode_interval;
-    config.cache_depth = ckv.cache_depth;
-    config.tokens_per_cluster = ckv.tokens_per_cluster;
-    config.repair_refine_iterations = ckv.repair_refine_iterations;
-    config.repair_decode_interval = ckv.repair_decode_interval;
-    config.prefetch_clusters = ckv.prefetch_clusters;
+    BatchSchedulerConfig config = clusterkv_scheduler_config(ckv);
     config.prefill_chunk_tokens = rng.bernoulli(0.2) ? 0 : rng.uniform_int(16, 96);
     config.admission_overcommit = rng.uniform(1.0, 2.0);
 
@@ -300,7 +291,7 @@ TEST_P(ServingResidencyFuzz, BudgetAndSinkInvariantsHoldUnderRandomSchedules) {
     // resident-only steps), mid-decode aborts and occasional queue
     // shedding, interleaved with the external preemption/cancel injection
     // below. The invariants must hold through all of it. Wire faults and
-    // brownouts stay off — this fuzz does not model the transfer engine.
+    // brownouts stay off here; FleetDeterminism's faulted variant runs them.
     if (rng.bernoulli(0.7)) {
       FaultPlan plan;
       plan.enabled = true;

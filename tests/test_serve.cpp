@@ -42,21 +42,6 @@ ClusterKVConfig small_ckv_config() {
   return config;
 }
 
-BatchSchedulerConfig tiered_scheduler_config(const ClusterKVConfig& ckv,
-                                             const SessionConfig& session) {
-  BatchSchedulerConfig config;
-  config.method = LatencyModel::Method::kClusterKV;
-  config.tiered_residency = true;
-  config.sink_tokens = ckv.sink_tokens;
-  config.decode_interval = ckv.decode_interval;
-  config.cache_depth = ckv.cache_depth;
-  config.tokens_per_cluster = ckv.tokens_per_cluster;
-  config.repair_refine_iterations = ckv.repair_refine_iterations;
-  config.repair_decode_interval = ckv.repair_decode_interval;
-  (void)session;
-  return config;
-}
-
 std::vector<ServeRequest> fixed_trace(Index n, Index prompt_len, Index decode_len,
                                       double gap_ms) {
   std::vector<ServeRequest> trace;
@@ -210,7 +195,7 @@ TEST(BatchScheduler, BudgetAndSinkInvariantsHold) {
   // checks below: budget and sink invariants must hold mid-repair too.
   ckv.repair_merge_threshold = 0.3;
   ckv.repair_decode_interval = 2;
-  auto config = tiered_scheduler_config(ckv, session_config);
+  auto config = clusterkv_scheduler_config(ckv);
   // Tight budget + overcommit so admission piles sessions on and
   // enforcement has to preempt; small chunks so the invariants are
   // exercised mid-prefill, not just between whole-prompt admissions.
@@ -266,7 +251,7 @@ TEST(BatchScheduler, BudgetAndSinkInvariantsHold) {
 TEST(BatchScheduler, ConstrainedBudgetForcesQueueing) {
   const auto session_config = small_session_config();
   const auto ckv = small_ckv_config();
-  auto config = tiered_scheduler_config(ckv, session_config);
+  auto config = clusterkv_scheduler_config(ckv);
   const Index per_token = session_token_bytes(session_config);
   const Index floor_tokens = ckv.sink_tokens + ckv.decode_interval +
                              ckv.cache_depth * session_config.engine.budget;
@@ -292,7 +277,7 @@ TEST(BatchScheduler, ConstrainedBudgetForcesQueueing) {
 TEST(BatchScheduler, UnlimitedBudgetRunsAllConcurrently) {
   const auto session_config = small_session_config();
   const auto ckv = small_ckv_config();
-  auto config = tiered_scheduler_config(ckv, session_config);
+  auto config = clusterkv_scheduler_config(ckv);
   config.fast_tier_budget_bytes = 0;  // unlimited
 
   BatchScheduler scheduler(fixed_trace(4, 200, 5, 0.0),
@@ -312,7 +297,7 @@ TEST(BatchScheduler, FansOutOnlyWithMoreThanOneWorker) {
   WorkerGuard worker_guard;
   const auto session_config = small_session_config();
   const auto ckv = small_ckv_config();
-  auto config = tiered_scheduler_config(ckv, session_config);
+  auto config = clusterkv_scheduler_config(ckv);
   config.fast_tier_budget_bytes = 0;  // unlimited
   const auto fanout = [&](int workers) {
     set_parallel_workers(workers);
@@ -341,7 +326,7 @@ TEST(BatchScheduler, TieredResidencyRequiresTieredFactory) {
   // zero and silently void budget enforcement; admission must catch the
   // mismatch instead.
   const auto session_config = small_session_config();
-  auto config = tiered_scheduler_config(small_ckv_config(), session_config);
+  auto config = clusterkv_scheduler_config(small_ckv_config());
   config.fast_tier_budget_bytes = 1 << 20;
   BatchScheduler scheduler(fixed_trace(1, 100, 4, 0.0), make_full_kv_factory(),
                            session_config, test_latency(), config);
@@ -361,10 +346,11 @@ TEST(BatchScheduler, OvercommitRequiresTieredResidency) {
 TEST(BatchScheduler, PrefetchRequiresTieredResidency) {
   // Without the ledger, fast_tier_bytes() cannot see in-flight reserved
   // bytes, so the budget invariant would silently ignore transfers on the
-  // wire; the constructor must reject the combination.
+  // wire; the constructor must reject the combination. (kClusterKV is
+  // always tiered, so an untiered method stands in.)
   const auto session_config = small_session_config();
   BatchSchedulerConfig config;
-  config.method = LatencyModel::Method::kClusterKV;
+  config.method = LatencyModel::Method::kQuest;
   config.prefetch_clusters = 4;
   EXPECT_THROW(BatchScheduler(fixed_trace(1, 100, 4, 0.0),
                               make_clusterkv_factory(small_ckv_config(), 8),
@@ -386,7 +372,7 @@ TEST(BatchScheduler, ChunkedPrefillBoundsQueuedTTFT) {
   trace.push_back({1, 1.0, 64, 4, derive_seed(4, "short")});
 
   auto run = [&](Index chunk_tokens) {
-    auto config = tiered_scheduler_config(ckv, session_config);
+    auto config = clusterkv_scheduler_config(ckv);
     config.prefill_chunk_tokens = chunk_tokens;
     BatchScheduler scheduler(trace, make_clusterkv_factory(ckv, 11),
                              session_config, test_latency(), config);
@@ -420,7 +406,7 @@ TEST(BatchScheduler, ChunkedPrefillBoundsQueuedTTFT) {
 TEST(BatchScheduler, BudgetHoldsOnEveryChunkedPrefillTick) {
   const auto session_config = small_session_config();
   const auto ckv = small_ckv_config();
-  auto config = tiered_scheduler_config(ckv, session_config);
+  auto config = clusterkv_scheduler_config(ckv);
   const Index per_token = session_token_bytes(session_config);
   const Index floor_tokens =
       ckv.sink_tokens + std::max(ckv.decode_interval, ckv.tokens_per_cluster) +
@@ -504,7 +490,7 @@ TEST(BatchScheduler, ClusterKVOutservesFullKVAtEqualBudget) {
                       full_config);
   full.run();
 
-  auto ckv_config = tiered_scheduler_config(ckv, session_config);
+  auto ckv_config = clusterkv_scheduler_config(ckv);
   ckv_config.fast_tier_budget_bytes = budget;
   BatchScheduler clustered(trace, make_clusterkv_factory(ckv, 9), session_config,
                            test_latency(), ckv_config);
@@ -533,7 +519,7 @@ TEST(BatchScheduler, PrefillFlushPlanMirrorsEngineBatches) {
   auto ckv = small_ckv_config();  // 8 sinks, 40 tokens/cluster
   ckv.tokens_per_cluster = 20;
   ckv.sink_tokens = 16;
-  auto config = tiered_scheduler_config(ckv, session_config);
+  auto config = clusterkv_scheduler_config(ckv);
   config.prefill_chunk_tokens = 256;
   BatchScheduler scheduler({}, make_clusterkv_factory(ckv, 41), session_config,
                            test_latency(), config);
@@ -579,7 +565,7 @@ TEST(ServeMetrics, RecallDenominatorIdenticalAcrossSchedulerModes) {
   auto run = [&](Index chunk_tokens, Index refine_iterations) {
     auto no_repair = ckv;
     no_repair.repair_refine_iterations = refine_iterations;
-    auto config = tiered_scheduler_config(no_repair, session_config);
+    auto config = clusterkv_scheduler_config(no_repair);
     config.prefill_chunk_tokens = chunk_tokens;
     BatchScheduler scheduler(trace, make_clusterkv_factory(no_repair, 31),
                              session_config, test_latency(), config);
@@ -938,7 +924,7 @@ TEST(FleetDeterminism, MetricsAndRecordsIdenticalAcrossWorkerCounts) {
   std::vector<Variant> variants;
   {
     const ClusterKVConfig base_ckv = small_ckv_config();
-    BatchSchedulerConfig base = tiered_scheduler_config(base_ckv, session);
+    BatchSchedulerConfig base = clusterkv_scheduler_config(base_ckv);
     base.prefill_chunk_tokens = 64;
     variants.push_back({"chunked", base_ckv, base});
 
@@ -961,20 +947,19 @@ TEST(FleetDeterminism, MetricsAndRecordsIdenticalAcrossWorkerCounts) {
     prefetch_cfg.prefetch_clusters = 3;
     variants.push_back({"prefetch", prefetch_ckv, prefetch_cfg});
 
-    // Transfer engine on a deliberately narrow link: the wire backlog,
-    // late-prefetch conversion and per-tick stall billing all engage, and
-    // every one of them must replay byte-identically from the serial
-    // commit phase at any worker count.
-    BatchSchedulerConfig engine_cfg = prefetch_cfg;
-    engine_cfg.use_transfer_engine = true;
-    engine_cfg.link_gbps = 0.5;
-    variants.push_back({"engine", prefetch_ckv, engine_cfg});
+    // A deliberately narrow link: the wire backlog, late-prefetch
+    // conversion and per-tick stall billing all engage, and every one of
+    // them must replay byte-identically from the serial commit phase at
+    // any worker count.
+    BatchSchedulerConfig narrow_cfg = prefetch_cfg;
+    narrow_cfg.link_gbps = 0.5;
+    variants.push_back({"narrow link", prefetch_ckv, narrow_cfg});
 
-    // Engine config under the chaos fault plan: retry billing, wire
+    // The narrow link under the chaos fault plan: retry billing, wire
     // retries, brownouts, degraded steps, aborts and shedding must all
     // replay byte-identically — the fault schedule is part of the virtual
     // clock, not of the host's thread interleaving.
-    BatchSchedulerConfig faulted_cfg = engine_cfg;
+    BatchSchedulerConfig faulted_cfg = narrow_cfg;
     faulted_cfg.fault_plan = FaultPlan::chaos(7);
     variants.push_back({"faulted", prefetch_ckv, faulted_cfg});
   }
@@ -1028,7 +1013,7 @@ TEST(FleetDeterminism, RoundRobinProgressIdenticalSerialVsParallel) {
   WorkerGuard worker_guard;
   const auto session = small_session_config();
   const ClusterKVConfig ckv = small_ckv_config();
-  BatchSchedulerConfig config = tiered_scheduler_config(ckv, session);
+  BatchSchedulerConfig config = clusterkv_scheduler_config(ckv);
   config.prefill_chunk_tokens = 48;
   config.max_running = 3;  // saturated: half the fleet queues behind the cap
   const auto trace = varied_trace();
@@ -1107,9 +1092,7 @@ FleetSnapshot run_engine_fleet(const std::vector<ServeRequest>& trace,
                                double link_gbps) {
   const auto session = small_session_config();
   const ClusterKVConfig ckv = prefetch_engine_ckv();
-  BatchSchedulerConfig config = tiered_scheduler_config(ckv, session);
-  config.prefetch_clusters = 3;
-  config.use_transfer_engine = true;
+  BatchSchedulerConfig config = clusterkv_scheduler_config(ckv);
   config.link_gbps = link_gbps;
   BatchScheduler scheduler(trace, make_clusterkv_factory(ckv, 7), session,
                            test_latency(), config);
@@ -1150,26 +1133,94 @@ TEST(TransferEngineServe, MeanStallGrowsWithConcurrentSessions) {
   EXPECT_GT(fleet.stall_total, solo.stall_total);
 }
 
+/// Calibration oracle: one session on an idle wire at the hardware link
+/// rate must bill every decode step's demand stall as exactly the
+/// closed-form transfer term LatencyModel::clusterkv_step charges at that
+/// step's measured demand rate, with and without prefetch.
+TEST(TransferEngineServe, LoneSessionStallEqualsClosedFormTransfer) {
+  const auto session = small_session_config();
+  const LatencyModel latency = test_latency();
+  for (const Index prefetch : {Index{0}, Index{3}}) {
+    ClusterKVConfig ckv = prefetch_engine_ckv();
+    ckv.prefetch_clusters = prefetch;
+    const Index decode_len = 24;
+    BatchScheduler scheduler(fixed_trace(1, 300, decode_len, 0.0),
+                             make_clusterkv_factory(ckv, 7), session, latency,
+                             clusterkv_scheduler_config(ckv));
+    Index checked = 0;
+    bool more = true;
+    while (more) {
+      // The closed form at the rate the pre-tick state shows; -1 while the
+      // session is not decoding (no stall is billed then).
+      double expected = -1.0;
+      if (scheduler.running_count() == 1 &&
+          scheduler.running().front()->state() == SessionState::kDecoding) {
+        const Session& lone = *scheduler.running().front();
+        const double demand_rate =
+            prefetch > 0 ? lone.demand_miss_rate() : 1.0 - lone.cache_hit_rate();
+        // transfer_ms does not depend on the cluster count (last argument).
+        const Index context = lone.request().prompt_len + lone.tokens_generated();
+        const StepBreakdown closed_form =
+            latency.clusterkv_step(context, session.engine.budget, demand_rate, 1);
+        expected = closed_form.transfer_ms;
+      }
+      const double stall_before = scheduler.metrics().demand_stall_ms_total();
+      const std::int64_t steps_before = scheduler.metrics().demand_stall_steps();
+      more = scheduler.tick();
+      const std::int64_t steps = scheduler.metrics().demand_stall_steps() - steps_before;
+      if (expected < 0.0) {
+        EXPECT_EQ(steps, 0);
+        continue;
+      }
+      ASSERT_EQ(steps, 1);
+      const double billed = scheduler.metrics().demand_stall_ms_total() - stall_before;
+      EXPECT_LE(std::abs(billed - expected), 1e-12 * expected)
+          << "prefetch " << prefetch << ", step " << checked;
+      ++checked;
+    }
+    EXPECT_EQ(checked, decode_len) << "prefetch " << prefetch;
+    // The wire really stalled some steps; an all-hit run would prove nothing.
+    EXPECT_GT(scheduler.metrics().demand_stall_ms_total(), 0.0)
+        << "prefetch " << prefetch;
+  }
+}
+
+/// Every ClusterKV scheduler bills through the wire: a default fleet,
+/// with no link or prefetch knob set, still queues and drains demand.
+TEST(TransferEngineServe, DefaultClusterKVFleetUsesTheWire) {
+  const ClusterKVConfig ckv = small_ckv_config();
+  BatchScheduler scheduler(varied_trace(), make_clusterkv_factory(ckv, 7),
+                           small_session_config(), test_latency(),
+                           clusterkv_scheduler_config(ckv));
+  scheduler.run();
+  EXPECT_GT(scheduler.metrics().demand_stall_steps(), 0);
+  EXPECT_GT(scheduler.metrics().link_drained_bytes_total(), 0.0);
+}
+
 /// Guard rails on the config surface: the engine models the ClusterKV
-/// tiered slow->fast path and refuses to attach to anything else.
+/// tiered slow->fast path, ClusterKV cannot run without it, and the
+/// retired closed-form switch cannot be turned back on.
 TEST(TransferEngineServe, ConfigValidation) {
   const auto session = small_session_config();
   const ClusterKVConfig ckv = prefetch_engine_ckv();
   const auto trace = fixed_trace(1, 64, 2, 0.0);
+  const auto rejects = [&](const BatchSchedulerConfig& config) {
+    EXPECT_THROW(BatchScheduler(trace, make_clusterkv_factory(ckv, 7), session,
+                                test_latency(), config),
+                 std::invalid_argument);
+  };
 
-  BatchSchedulerConfig bad_link = tiered_scheduler_config(ckv, session);
-  bad_link.use_transfer_engine = true;
+  BatchSchedulerConfig bad_link = clusterkv_scheduler_config(ckv);
   bad_link.link_gbps = -1.0;
-  EXPECT_THROW(BatchScheduler(trace, make_clusterkv_factory(ckv, 7), session,
-                              test_latency(), bad_link),
-               std::invalid_argument);
+  rejects(bad_link);
 
-  BatchSchedulerConfig not_tiered = tiered_scheduler_config(ckv, session);
-  not_tiered.use_transfer_engine = true;
+  BatchSchedulerConfig not_tiered = clusterkv_scheduler_config(ckv);
   not_tiered.tiered_residency = false;
-  EXPECT_THROW(BatchScheduler(trace, make_clusterkv_factory(ckv, 7), session,
-                              test_latency(), not_tiered),
-               std::invalid_argument);
+  rejects(not_tiered);
+
+  BatchSchedulerConfig closed_form = clusterkv_scheduler_config(ckv);
+  closed_form.use_transfer_engine = false;
+  rejects(closed_form);
 }
 
 }  // namespace

@@ -302,22 +302,18 @@ int run_serve(int argc, const char* const* argv) {
                   "the prediction blend");
   args.add_option("prefetch-prior-decay", "0.5",
                   "async prefetch: per-step EMA decay of the prior (in [0, 1))");
-  args.add_switch("transfer-engine",
-                  "model the slow->fast link as an explicit bandwidth-"
-                  "contended queue (sim/transfer_engine): concurrent "
-                  "sessions' demand misses and speculative prefetches "
-                  "contend for the wire; clusterkv only");
   args.add_option("link-gbps", "0",
-                  "modeled slow->fast link bandwidth for --transfer-engine "
-                  "(GB/s; 0 = the hardware model's gather rate)");
+                  "bandwidth of the modeled slow->fast link that every "
+                  "session's demand misses and prefetches contend for "
+                  "(clusterkv only; GB/s; 0 = the hardware model's gather "
+                  "rate)");
   args.add_option("max-running", "0",
                   "hard cap on concurrently running sessions (0 = unlimited)");
   args.add_option("fault-plan", "off",
                   "deterministic fault injection (docs/ROBUSTNESS.md): 'off' "
                   "or 'chaos' (seeded transient fetch failures with retry/"
                   "backoff, link brownouts, mid-decode aborts, admission "
-                  "bursts with load shedding); clusterkv + --transfer-engine "
-                  "only");
+                  "bursts with load shedding); clusterkv only");
   args.add_option("fault-seed", "7777",
                   "seed of the --fault-plan chaos schedule (replayable: the "
                   "same seed gives a byte-identical run at any CKV_THREADS)");
@@ -368,16 +364,8 @@ int run_serve(int argc, const char* const* argv) {
   BatchSchedulerConfig scheduler_config;
   SelectorFactory factory;
   if (method == "clusterkv") {
-    scheduler_config.method = LatencyModel::Method::kClusterKV;
-    scheduler_config.tiered_residency = true;
-    scheduler_config.sink_tokens = ckv.sink_tokens;
-    scheduler_config.decode_interval = ckv.decode_interval;
-    scheduler_config.cache_depth = ckv.cache_depth;
-    scheduler_config.tokens_per_cluster = ckv.tokens_per_cluster;
+    scheduler_config = clusterkv_scheduler_config(ckv);
     scheduler_config.admission_overcommit = args.get_double("overcommit");
-    scheduler_config.repair_refine_iterations = ckv.repair_refine_iterations;
-    scheduler_config.repair_decode_interval = ckv.repair_decode_interval;
-    scheduler_config.prefetch_clusters = ckv.prefetch_clusters;
     factory = make_clusterkv_factory(ckv, seed);
   } else if (method == "quest") {
     scheduler_config.method = LatencyModel::Method::kQuest;
@@ -399,17 +387,12 @@ int run_serve(int argc, const char* const* argv) {
         "--prefetch-clusters only applies to clusterkv (other methods have "
         "no cluster cache to prefetch into)");
   }
-  if (method != "clusterkv" && args.get_switch("transfer-engine")) {
-    throw std::invalid_argument(
-        "--transfer-engine only applies to clusterkv (it models the tiered "
-        "slow->fast fetch path)");
-  }
   const std::string fault_plan = args.get_string("fault-plan");
   if (fault_plan == "chaos") {
-    if (method != "clusterkv" || !args.get_switch("transfer-engine")) {
+    if (method != "clusterkv") {
       throw std::invalid_argument(
-          "--fault-plan chaos needs clusterkv with --transfer-engine (the "
-          "fault model targets the tiered fetch path and the modeled wire)");
+          "--fault-plan chaos needs clusterkv (the fault model targets the "
+          "tiered fetch path and the modeled wire)");
     }
     scheduler_config.fault_plan = FaultPlan::chaos(
         static_cast<std::uint64_t>(args.get_index("fault-seed")));
@@ -417,7 +400,6 @@ int run_serve(int argc, const char* const* argv) {
     throw std::invalid_argument("unknown --fault-plan '" + fault_plan +
                                 "' (expected off|chaos)");
   }
-  scheduler_config.use_transfer_engine = args.get_switch("transfer-engine");
   scheduler_config.link_gbps = args.get_double_in("link-gbps", 0.0, 1e6);
   scheduler_config.fast_tier_budget_bytes = static_cast<std::int64_t>(
       args.get_double("budget-mult") *
