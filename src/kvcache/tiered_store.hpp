@@ -107,8 +107,8 @@ class FastTierLedger {
 /// -Wthread-safety CI leg instead of corrupting reservation accounting.
 class TieredKVStore {
  public:
-  /// element_bytes = 2 models fp16 storage as in the paper.
-  TieredKVStore(Index head_dim, Index element_bytes = 2);
+  /// Elements are stored at kFp16Bytes, as in the paper.
+  explicit TieredKVStore(Index head_dim);
 
   /// Appends a token on the fast tier (where it is produced) without
   /// counting transfer bytes; call offload_to_slow to move it out.
@@ -213,7 +213,6 @@ class TieredKVStore {
                           obs::FetchCancelReason reason) CKV_REQUIRES(owner_);
 
   KVStore store_;
-  Index element_bytes_;
   /// Static stand-in for the owning session (see the class comment).
   mutable ExclusiveContext owner_;
   std::unordered_set<Index> fast_resident_ CKV_GUARDED_BY(owner_);

@@ -4,6 +4,28 @@
 
 namespace ckv {
 
+namespace {
+
+// Registry names of the totals that are both recorded and read back here.
+constexpr char kPrefetchIssued[] = "serve.prefetch_issued_tokens";
+constexpr char kPrefetchHits[] = "serve.prefetch_hit_tokens";
+constexpr char kDemandFetched[] = "serve.demand_fetched_tokens";
+constexpr char kCanceledMispredict[] = "serve.prefetch_canceled_mispredict_tokens";
+constexpr char kCanceledEnforce[] = "serve.prefetch_canceled_enforce_tokens";
+constexpr char kCanceledRelease[] = "serve.prefetch_canceled_release_tokens";
+constexpr char kFaultAborts[] = "serve.fault_aborts";
+constexpr char kDegradedSteps[] = "serve.degraded_steps";
+constexpr char kFetchFaults[] = "serve.fault_fetch_faults";
+constexpr char kRetryAttempts[] = "serve.retry_attempts";
+constexpr char kRetryMs[] = "serve.retry_ms_total";
+constexpr char kDeadFetches[] = "serve.fault_dead_fetches";
+constexpr char kRetryRecovered[] = "serve.retry_recovered";
+constexpr char kWireRetries[] = "serve.fault_wire_retries";
+constexpr char kWireFailures[] = "serve.fault_wire_failures";
+constexpr char kShedSessions[] = "serve.shed_sessions";
+
+}  // namespace
+
 ServeMetrics::ServeMetrics()
     : total_tokens_(&registry_.counter("serve.tokens_generated")),
       total_preemptions_(&registry_.counter("serve.preemptions")),
@@ -40,24 +62,20 @@ void ServeMetrics::record_session(SessionRecord record) {
   arrival_ms_->set(record.arrival_ms);
   finish_ms_->set(record.finish_ms);
   ttft_hist_->record(record.ttft_ms());
-  registry_.counter("serve.prefetch_issued_tokens")
-      .add(record.prefetch_issued_tokens);
-  registry_.counter("serve.prefetch_hit_tokens").add(record.prefetch_hit_tokens);
-  registry_.counter("serve.demand_fetched_tokens")
-      .add(record.demand_fetched_tokens);
-  registry_.counter("serve.prefetch_canceled_mispredict_tokens")
+  registry_.counter(kPrefetchIssued).add(record.prefetch_issued_tokens);
+  registry_.counter(kPrefetchHits).add(record.prefetch_hit_tokens);
+  registry_.counter(kDemandFetched).add(record.demand_fetched_tokens);
+  registry_.counter(kCanceledMispredict)
       .add(record.prefetch_canceled_mispredict_tokens);
-  registry_.counter("serve.prefetch_canceled_enforce_tokens")
-      .add(record.prefetch_canceled_enforce_tokens);
-  registry_.counter("serve.prefetch_canceled_release_tokens")
-      .add(record.prefetch_canceled_release_tokens);
+  registry_.counter(kCanceledEnforce).add(record.prefetch_canceled_enforce_tokens);
+  registry_.counter(kCanceledRelease).add(record.prefetch_canceled_release_tokens);
   // Fault counters register only when nonzero: a fault-free run's metrics
   // export must stay byte-identical to a build without fault injection.
   if (record.aborted) {
-    registry_.counter("serve.fault_aborts").add(std::int64_t{1});
+    registry_.counter(kFaultAborts).add(std::int64_t{1});
   }
   if (record.degraded_steps > 0) {
-    registry_.counter("serve.degraded_steps").add(record.degraded_steps);
+    registry_.counter(kDegradedSteps).add(record.degraded_steps);
   }
   records_.push_back(std::move(record));
 }
@@ -69,56 +87,64 @@ void ServeMetrics::record_fault_fetch(Index retries, double penalty_ms,
   if (retries == 0 && !dead) {
     return;  // the fetch never faulted
   }
-  ++fault_fetch_faults_;
-  registry_.counter("serve.fault_fetch_faults").add(std::int64_t{1});
+  registry_.counter(kFetchFaults).add(std::int64_t{1});
   if (retries > 0) {
-    fault_retries_ += retries;
-    fault_retry_ms_ += penalty_ms;
-    registry_.counter("serve.retry_attempts").add(retries);
-    registry_.counter("serve.retry_ms_total").add(penalty_ms);
+    registry_.counter(kRetryAttempts).add(retries);
+    registry_.counter(kRetryMs).add(penalty_ms);
   }
   if (dead) {
-    ++dead_fetches_;
-    registry_.counter("serve.fault_dead_fetches").add(std::int64_t{1});
+    registry_.counter(kDeadFetches).add(std::int64_t{1});
   } else {
-    ++fault_retried_ok_;
-    registry_.counter("serve.retry_recovered").add(std::int64_t{1});
+    registry_.counter(kRetryRecovered).add(std::int64_t{1});
   }
 }
 
 void ServeMetrics::record_wire_retries(Index retries) {
   expects(retries >= 0, "ServeMetrics::record_wire_retries: negative count");
   if (retries > 0) {
-    wire_retries_ += retries;
-    registry_.counter("serve.fault_wire_retries").add(retries);
+    registry_.counter(kWireRetries).add(retries);
   }
 }
 
 void ServeMetrics::record_wire_failure() {
-  ++wire_failures_;
-  registry_.counter("serve.fault_wire_failures").add(std::int64_t{1});
+  registry_.counter(kWireFailures).add(std::int64_t{1});
 }
 
 void ServeMetrics::record_shed_session() {
-  ++shed_sessions_;
-  registry_.counter("serve.shed_sessions").add(std::int64_t{1});
+  registry_.counter(kShedSessions).add(std::int64_t{1});
+}
+
+std::int64_t ServeMetrics::count(std::string_view name) const noexcept {
+  return static_cast<std::int64_t>(registry_.counter_value(name));
 }
 
 Index ServeMetrics::degraded_steps_total() const noexcept {
-  Index steps = 0;
-  for (const auto& record : records_) {
-    steps += record.degraded_steps;
-  }
-  return steps;
+  return count(kDegradedSteps);
 }
 
-Index ServeMetrics::fault_aborts_total() const noexcept {
-  Index aborts = 0;
-  for (const auto& record : records_) {
-    aborts += record.aborted ? 1 : 0;
-  }
-  return aborts;
+Index ServeMetrics::fault_aborts_total() const noexcept { return count(kFaultAborts); }
+
+Index ServeMetrics::shed_sessions_total() const noexcept { return count(kShedSessions); }
+
+Index ServeMetrics::fault_retries_total() const noexcept { return count(kRetryAttempts); }
+
+double ServeMetrics::fault_retry_ms_total() const noexcept {
+  return registry_.counter_value(kRetryMs);
 }
+
+Index ServeMetrics::fault_fetch_faults_total() const noexcept {
+  return count(kFetchFaults);
+}
+
+Index ServeMetrics::fault_retried_ok_total() const noexcept {
+  return count(kRetryRecovered);
+}
+
+Index ServeMetrics::dead_fetches_total() const noexcept { return count(kDeadFetches); }
+
+Index ServeMetrics::wire_retries_total() const noexcept { return count(kWireRetries); }
+
+Index ServeMetrics::wire_failures_total() const noexcept { return count(kWireFailures); }
 
 void ServeMetrics::record_occupancy(std::int64_t fast_bytes) {
   occupancy_->set(static_cast<double>(fast_bytes));
@@ -309,26 +335,17 @@ double ServeMetrics::prefetch_hit_rate() const noexcept {
   if (records_.empty()) {
     return 0.0;
   }
-  std::int64_t hits = 0;
-  std::int64_t demand = 0;
-  for (const auto& record : records_) {
-    hits += record.prefetch_hit_tokens;
-    demand += record.demand_fetched_tokens;
-  }
-  const std::int64_t fetched = hits + demand;
+  const std::int64_t hits = prefetch_hits_total();
+  const std::int64_t fetched = hits + count(kDemandFetched);
   // No fetch traffic at all: nothing to overlap, vacuously perfect (the
   // same convention as mean_recall's lossless case).
   return fetched > 0 ? static_cast<double>(hits) / static_cast<double>(fetched) : 1.0;
 }
 
 double ServeMetrics::prefetch_waste_rate() const noexcept {
-  std::int64_t issued = 0;
-  std::int64_t hits = 0;
-  for (const auto& record : records_) {
-    issued += record.prefetch_issued_tokens;
-    hits += record.prefetch_hit_tokens;
-  }
-  return issued > 0 ? static_cast<double>(issued - hits) / static_cast<double>(issued)
+  const std::int64_t issued = prefetch_issued_total();
+  return issued > 0 ? static_cast<double>(issued - prefetch_hits_total()) /
+                          static_cast<double>(issued)
                     : 0.0;
 }
 
@@ -342,37 +359,23 @@ double ServeMetrics::prefetch_waste_rate(
 
 std::int64_t ServeMetrics::prefetch_canceled_total(
     obs::FetchCancelReason reason) const noexcept {
-  std::int64_t canceled = 0;
-  for (const auto& record : records_) {
-    switch (reason) {
-      case obs::FetchCancelReason::kMisprediction:
-        canceled += record.prefetch_canceled_mispredict_tokens;
-        break;
-      case obs::FetchCancelReason::kEnforcement:
-        canceled += record.prefetch_canceled_enforce_tokens;
-        break;
-      case obs::FetchCancelReason::kSessionRelease:
-        canceled += record.prefetch_canceled_release_tokens;
-        break;
-    }
+  switch (reason) {
+    case obs::FetchCancelReason::kMisprediction:
+      return count(kCanceledMispredict);
+    case obs::FetchCancelReason::kEnforcement:
+      return count(kCanceledEnforce);
+    case obs::FetchCancelReason::kSessionRelease:
+      return count(kCanceledRelease);
   }
-  return canceled;
+  return 0;
 }
 
 std::int64_t ServeMetrics::prefetch_issued_total() const noexcept {
-  std::int64_t issued = 0;
-  for (const auto& record : records_) {
-    issued += record.prefetch_issued_tokens;
-  }
-  return issued;
+  return count(kPrefetchIssued);
 }
 
 std::int64_t ServeMetrics::prefetch_hits_total() const noexcept {
-  std::int64_t hits = 0;
-  for (const auto& record : records_) {
-    hits += record.prefetch_hit_tokens;
-  }
-  return hits;
+  return count(kPrefetchHits);
 }
 
 double ServeMetrics::mean_cache_hit_rate() const noexcept {

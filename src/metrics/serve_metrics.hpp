@@ -3,13 +3,15 @@
 // fleet-level occupancy and throughput. All times are virtual milliseconds
 // assigned by the scheduler from sim/latency_model step costs.
 //
-// Internally the aggregation lives on an obs::MetricsRegistry (named
-// counters / gauges / log-linear histograms) instead of ad-hoc member
-// scalars; the public accessors keep their historical semantics exactly
-// (scalar sums are counters, per-tick stats are gauges), and the registry
-// itself is exported by `ckv serve --metrics-out` as flat JSON/CSV.
+// One store per kind of number: every fleet total (a scalar sum) is an
+// obs::MetricsRegistry counter and every per-tick level a gauge, read back
+// through the registry; the per-session records keep what needs raw
+// per-session values (percentiles, step- or session-weighted means). The
+// registry itself is exported by `ckv serve --metrics-out` as flat
+// JSON/CSV.
 #pragma once
 
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics_registry.hpp"
@@ -19,10 +21,11 @@
 
 namespace ckv {
 
-/// Completed-session summary the scheduler hands over at retirement.
-/// Timestamps are ordered arrival <= admit <= prefill_done <= first_token
-/// <= finish, splitting TTFT into queue wait, (chunked) prefill time, and
-/// the wait for the first decode tick.
+/// Completed-session summary: Session fills it as events happen and the
+/// scheduler hands it over at retirement. Timestamps are ordered arrival
+/// <= admit <= prefill_done <= first_token <= finish, splitting TTFT into
+/// queue wait, (chunked) prefill time, and the wait for the first decode
+/// tick.
 struct SessionRecord {
   Index id = 0;
   Index prompt_len = 0;
@@ -175,38 +178,23 @@ class ServeMetrics {
   /// Records one queued arrival shed after waiting past the plan's bound.
   void record_shed_session();
 
-  /// Fleet fault aggregates (plain mirrors — reading them never creates
-  /// registry instruments, so exports stay untouched by queries).
+  /// Fleet fault totals, each read from its registry counter (0 while
+  /// the counter is unregistered; reading never registers it, so queries
+  /// leave the export untouched).
   [[nodiscard]] Index degraded_steps_total() const noexcept;
   [[nodiscard]] Index fault_aborts_total() const noexcept;
-  [[nodiscard]] Index shed_sessions_total() const noexcept {
-    return shed_sessions_;
-  }
-  [[nodiscard]] Index fault_retries_total() const noexcept {
-    return fault_retries_;
-  }
-  [[nodiscard]] double fault_retry_ms_total() const noexcept {
-    return fault_retry_ms_;
-  }
+  [[nodiscard]] Index shed_sessions_total() const noexcept;
+  [[nodiscard]] Index fault_retries_total() const noexcept;
+  [[nodiscard]] double fault_retry_ms_total() const noexcept;
   /// Demand fetches that hit at least one transient fault...
-  [[nodiscard]] Index fault_fetch_faults_total() const noexcept {
-    return fault_fetch_faults_;
-  }
+  [[nodiscard]] Index fault_fetch_faults_total() const noexcept;
   /// ...of which this many recovered via retry...
-  [[nodiscard]] Index fault_retried_ok_total() const noexcept {
-    return fault_retried_ok_;
-  }
+  [[nodiscard]] Index fault_retried_ok_total() const noexcept;
   /// ...and this many were declared dead (== degraded steps, each dead
   /// fetch degrades exactly one step).
-  [[nodiscard]] Index dead_fetches_total() const noexcept {
-    return dead_fetches_;
-  }
-  [[nodiscard]] Index wire_retries_total() const noexcept {
-    return wire_retries_;
-  }
-  [[nodiscard]] Index wire_failures_total() const noexcept {
-    return wire_failures_;
-  }
+  [[nodiscard]] Index dead_fetches_total() const noexcept;
+  [[nodiscard]] Index wire_retries_total() const noexcept;
+  [[nodiscard]] Index wire_failures_total() const noexcept;
 
   /// All retired sessions, retirement order.
   [[nodiscard]] const std::vector<SessionRecord>& records() const noexcept {
@@ -258,7 +246,7 @@ class ServeMetrics {
   [[nodiscard]] double mean_coverage() const noexcept;
   [[nodiscard]] double mean_cache_hit_rate() const noexcept;
 
-  // ---- async-prefetch rates (token-weighted over retired sessions) ----
+  // ---- async-prefetch totals and rates (token sums over retired sessions) ----
 
   /// Share of slow-tier fetch traffic covered in flight by prefetch:
   /// Σ prefetch hits / (Σ prefetch hits + Σ demand fetches). Vacuously
@@ -328,11 +316,13 @@ class ServeMetrics {
  private:
   [[nodiscard]] std::vector<double> collect(double (SessionRecord::*fn)()
                                                 const noexcept) const;
+  /// Integer value of a registry counter (0 while unregistered).
+  [[nodiscard]] std::int64_t count(std::string_view name) const noexcept;
 
   obs::MetricsRegistry registry_;
   // Cached instrument handles (registry_ map nodes are stable; this
   // class is never copied). Records stay as a vector: exact per-session
-  // percentiles and token-weighted rates need the raw values.
+  // percentiles and weighted means need the raw values.
   obs::Counter* total_tokens_;
   obs::Counter* total_preemptions_;
   obs::Counter* repair_ms_total_;
@@ -356,16 +346,6 @@ class ServeMetrics {
   obs::Histogram* repair_hist_;
   obs::Histogram* demand_stall_hist_;
   std::vector<SessionRecord> records_;
-  // Fault-path mirrors (registry instruments register lazily on first
-  // nonzero record; accessors read these so they never create one).
-  Index shed_sessions_ = 0;
-  Index fault_retries_ = 0;
-  double fault_retry_ms_ = 0.0;
-  Index fault_fetch_faults_ = 0;
-  Index fault_retried_ok_ = 0;
-  Index dead_fetches_ = 0;
-  Index wire_retries_ = 0;
-  Index wire_failures_ = 0;
 };
 
 }  // namespace ckv

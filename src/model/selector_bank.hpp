@@ -21,6 +21,20 @@ class SelectorBank {
   [[nodiscard]] KVSelector& at(Index layer, Index head);
   [[nodiscard]] const KVSelector& at(Index layer, Index head) const;
 
+  /// Calls `fn` on every selector in (layer, head) order, layer-major.
+  template <typename Fn>
+  void for_each(Fn&& fn) {
+    for (const auto& selector : selectors_) {
+      fn(*selector);
+    }
+  }
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (const auto& selector : selectors_) {
+      fn(static_cast<const KVSelector&>(*selector));
+    }
+  }
+
   /// Name reported by the underlying method.
   [[nodiscard]] std::string method_name() const;
 

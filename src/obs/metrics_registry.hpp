@@ -11,10 +11,12 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 #include "tensor/stats.hpp"
 #include "util/common.hpp"
@@ -133,7 +135,17 @@ class MetricsRegistry {
     return histograms_[name];
   }
 
-  [[nodiscard]] const std::map<std::string, Counter>& counters() const noexcept {
+  /// A counter's value, 0 when it was never registered. Unlike counter(),
+  /// never creates the instrument, so reading a total cannot change what
+  /// write_json / write_csv export.
+  [[nodiscard]] double counter_value(std::string_view name) const noexcept {
+    const ExclusiveLock own(owner_);
+    const auto it = counters_.find(name);
+    return it == counters_.end() ? 0.0 : it->second.value();
+  }
+
+  [[nodiscard]] const std::map<std::string, Counter, std::less<>>& counters()
+      const noexcept {
     const ExclusiveLock own(owner_);
     return counters_;
   }
@@ -157,7 +169,7 @@ class MetricsRegistry {
  private:
   /// Static stand-in for the owning thread (see the class comment).
   mutable ExclusiveContext owner_;
-  std::map<std::string, Counter> counters_ CKV_GUARDED_BY(owner_);
+  std::map<std::string, Counter, std::less<>> counters_ CKV_GUARDED_BY(owner_);
   std::map<std::string, Gauge> gauges_ CKV_GUARDED_BY(owner_);
   std::map<std::string, Histogram> histograms_ CKV_GUARDED_BY(owner_);
 };

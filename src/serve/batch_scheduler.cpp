@@ -254,7 +254,7 @@ void BatchScheduler::admit_arrivals() {
                         "session " + std::to_string(session->request().id));
       // The queued span is emitted retroactively (the session object only
       // exists from admission); arrival is known, so the span is exact.
-      tr.begin_at("queued", track, session->arrival_ms());
+      tr.begin_at("queued", track, session->request().arrival_ms);
       tr.end_at("queued", track, now_ms_);
       tr.instant_at("admit", track, now_ms_,
                     {{"prompt_len", session->request().prompt_len},
@@ -397,46 +397,14 @@ void BatchScheduler::retire_finished() {
     tr.set_virtual_now_ms(now_ms_);
     session.cancel_prefetches(obs::FetchCancelReason::kSessionRelease);
     cancel_session_spec(session);
-    transfer_links_.erase(session.request().id);
-    SessionRecord record;
-    record.id = session.request().id;
-    record.prompt_len = session.request().prompt_len;
-    // An aborted session's decode_len is what it actually produced:
-    // throughput and inter-token math must count real tokens, not the
-    // request's never-reached target.
-    record.decode_len =
-        session.aborted() ? session.tokens_generated() : session.request().decode_len;
-    record.aborted = session.aborted();
-    record.degraded_steps = session.degraded_steps();
-    record.fault_retries = session.fault_retries();
-    record.fault_retry_ms = session.fault_retry_ms();
-    record.dead_fetches = session.dead_fetches();
-    record.arrival_ms = session.arrival_ms();
-    record.admit_ms = session.admit_ms();
-    record.prefill_done_ms = session.prefill_done_ms();
-    record.first_token_ms = session.first_token_ms();
-    record.finish_ms = session.finish_ms();
-    record.mean_recall = session.mean_recall();
-    record.recall_steps = session.recall_steps();
-    record.mean_coverage = session.mean_coverage();
-    record.cache_hit_rate = session.cache_hit_rate();
-    record.preemptions = session.preemptions();
-    record.prefetch_hit_tokens = session.prefetch_hit_tokens();
-    record.prefetch_issued_tokens = session.prefetch_issued_tokens();
-    record.demand_fetched_tokens = session.demand_fetched_tokens();
-    record.prefetch_canceled_mispredict_tokens =
-        session.prefetch_canceled_tokens(obs::FetchCancelReason::kMisprediction);
-    record.prefetch_canceled_enforce_tokens =
-        session.prefetch_canceled_tokens(obs::FetchCancelReason::kEnforcement);
-    record.prefetch_canceled_release_tokens =
-        session.prefetch_canceled_tokens(obs::FetchCancelReason::kSessionRelease);
-    metrics_.record_session(std::move(record));
+    spec_ids_.erase(session.request().id);
+    metrics_.record_session(session.complete_record());
     if (tr.enabled()) {
       const std::int64_t track = session_track(session);
-      tr.end_at("decoding", track, session.finish_ms());
-      tr.instant_at("retired", track, session.finish_ms(),
+      tr.end_at("decoding", track, session.record().finish_ms);
+      tr.instant_at("retired", track, session.record().finish_ms,
                     {{"tokens", session.tokens_generated()},
-                     {"preemptions", session.preemptions()}});
+                     {"preemptions", session.record().preemptions}});
     }
     // Teardown frees the session's fast-tier residency (ledger included).
     session.attach_fast_tier_ledger(nullptr);
@@ -449,9 +417,10 @@ void BatchScheduler::retire_finished() {
 
 void BatchScheduler::mark_resume_if_preempted(const Session& session) {
   Index& seen = preempt_seen_[session.request().id];
-  if (session.preemptions() > seen) {
-    obs::tracer().instant("resume", {{"preemptions", session.preemptions()}});
-    seen = session.preemptions();
+  const Index preemptions = session.record().preemptions;
+  if (preemptions > seen) {
+    obs::tracer().instant("resume", {{"preemptions", preemptions}});
+    seen = preemptions;
   }
 }
 
@@ -477,8 +446,8 @@ double BatchScheduler::projected_demand_bytes(const Session& session) const {
 void BatchScheduler::resolve_session_transfers(Session& session,
                                                const StepResult& step) {
   const double bytes_per_token = model_bytes_per_step_token();
-  TransferLink& link = transfer_links_[session.request().id];
-  if (link.spec_id != 0) {
+  std::uint64_t& spec_id = spec_ids_[session.request().id];
+  if (spec_id != 0) {
     // The selection just revealed the outstanding speculation's hit/waste
     // split. Hits the wire finished are free (the overlap worked); hits
     // still queued are *late* — the copy must complete on the demand
@@ -487,7 +456,7 @@ void BatchScheduler::resolve_session_transfers(Session& session,
     const double hit_bytes =
         static_cast<double>(step.tokens_prefetch_hit) * bytes_per_token;
     const TransferEngine::SpecResolution resolution =
-        transfer_engine_->resolve_spec(link.spec_id, hit_bytes);
+        transfer_engine_->resolve_spec(spec_id, hit_bytes);
     if (resolution.late_hit_bytes > 0.0) {
       transfer_engine_->enqueue(session.request().id,
                                 TransferEngine::Priority::kDemand,
@@ -498,7 +467,7 @@ void BatchScheduler::resolve_session_transfers(Session& session,
                             {{"bytes", static_cast<std::int64_t>(
                                   resolution.late_hit_bytes)}});
     }
-    link = TransferLink{};
+    spec_id = 0;
   }
   const Index demand_tokens = step.tokens_fetched - step.tokens_prefetch_hit;
   if (demand_tokens > 0) {
@@ -507,10 +476,9 @@ void BatchScheduler::resolve_session_transfers(Session& session,
                               static_cast<double>(demand_tokens) * bytes_per_token);
   }
   if (step.tokens_prefetch_issued > 0) {
-    link.spec_id = transfer_engine_->enqueue(
+    spec_id = transfer_engine_->enqueue(
         session.request().id, TransferEngine::Priority::kSpeculative,
         static_cast<double>(step.tokens_prefetch_issued) * bytes_per_token);
-    link.spec_tokens = step.tokens_prefetch_issued;
   }
 }
 
@@ -518,12 +486,12 @@ void BatchScheduler::cancel_session_spec(const Session& session) {
   if (transfer_engine_ == nullptr) {
     return;
   }
-  const auto it = transfer_links_.find(session.request().id);
-  if (it == transfer_links_.end() || it->second.spec_id == 0) {
+  const auto it = spec_ids_.find(session.request().id);
+  if (it == spec_ids_.end() || it->second == 0) {
     return;
   }
-  transfer_engine_->cancel(it->second.spec_id);
-  it->second = TransferLink{};
+  transfer_engine_->cancel(it->second);
+  it->second = 0;
 }
 
 void BatchScheduler::drain_transfer_engine(double completed_ms) {
@@ -680,7 +648,7 @@ void BatchScheduler::commit_item(AdvanceItem& item, double completed_ms) {
     if (fault_injector_ != nullptr) {
       // Degraded mode is a one-step affair: the pre-pass armed it for this
       // step, the serial commit disarms it before the next.
-      session->set_degraded_step(false);
+      session->clear_degraded_step();
       // Mid-decode abort: the client hangs up after this committed token.
       // Only a still-decoding session with at least one token can abort —
       // the session finishes at the tick's completion timestamp and its
@@ -744,7 +712,7 @@ FaultInjector::FetchOutcome BatchScheduler::roll_fetch_fault(Session& decoder) {
   const FaultInjector::FetchOutcome fault =
       fault_injector_->fetch_outcome(decoder.request().id, decoder.tokens_generated());
   if (fault.retries > 0 || fault.dead) {
-    decoder.note_fault_retries(fault.retries, fault.penalty_ms);
+    decoder.note_fetch_fault(fault.retries, fault.penalty_ms, fault.dead);
     metrics_.record_fault_fetch(fault.retries, fault.penalty_ms, fault.dead);
     auto& tr = obs::tracer();
     const std::int64_t track = session_track(decoder);
@@ -754,8 +722,6 @@ FaultInjector::FetchOutcome BatchScheduler::roll_fetch_fault(Session& decoder) {
                      {"penalty_us", static_cast<Index>(fault.penalty_ms * 1000.0)}});
     }
     if (fault.dead) {
-      decoder.note_dead_fetch();
-      decoder.set_degraded_step(true);
       tr.instant_at("fault-dead-fetch", track, now_ms_,
                     {{"token", decoder.tokens_generated()}});
     }
@@ -810,7 +776,7 @@ BatchScheduler::TickPlan BatchScheduler::plan_tick(double link_rate_factor) {
         item.chunk = next_chunk_tokens(*session);
       } else {
         item.pre_last_step_ms = session->last_step_ms();
-        item.pre_first_token_ms = session->first_token_ms();
+        item.pre_first_token_ms = session->record().first_token_ms;
       }
     }
     if (prefilling) {

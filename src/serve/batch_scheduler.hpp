@@ -335,15 +335,6 @@ class BatchScheduler {
 
   // ---- the slow->fast wire (ClusterKV schedulers only) ----
 
-  /// One session's outstanding speculative transfer on the engine's queue:
-  /// issued at the decode commit that billed the prefetch, resolved into
-  /// hits / late hits / refunded waste at the session's next decode
-  /// commit, or canceled by enforcement / retirement.
-  struct TransferLink {
-    std::uint64_t spec_id = 0;
-    Index spec_tokens = 0;
-  };
-
   /// Model-scale wire bytes of one head-summed step-token count unit
   /// (StepResult counts sum over layers x heads of the slice, so one full
   /// token's fetch equals total_heads of them).
@@ -398,10 +389,13 @@ class BatchScheduler {
   /// Effective engine link rate (GB/s) — config_.link_gbps or the
   /// hardware gather rate; cached so billing and the engine agree exactly.
   double transfer_link_gbps_ = 0.0;
-  /// Outstanding speculative transfer per running session id (keyed
-  /// access only — never iterated, so order cannot leak anywhere).
-  std::unordered_map<Index, TransferLink> transfer_links_
-      CKV_GUARDED_BY(serial_phase_);
+  /// Engine request id of each running session's outstanding speculative
+  /// transfer (0 = none): issued at the decode commit that billed the
+  /// prefetch, resolved into hits / late hits / refunded waste at the
+  /// session's next decode commit, or canceled by enforcement or
+  /// retirement. Keyed access only — never iterated, so order cannot leak
+  /// anywhere.
+  std::unordered_map<Index, std::uint64_t> spec_ids_ CKV_GUARDED_BY(serial_phase_);
   /// Pure-hash fault oracle (null unless config_.fault_plan.enabled) —
   /// every fault branch in the tick gates on this pointer, so the
   /// fault-free path is the pre-fault code verbatim.

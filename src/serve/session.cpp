@@ -24,13 +24,45 @@ Session::Session(const ServeRequest& request, const SelectorFactory& factory,
   model_ = std::make_unique<ProceduralContextModel>(config.shape, config.params,
                                                     request.seed, request.prompt_len);
   engine_ = std::make_unique<DecodeEngine>(*model_, factory, config.engine);
+  record_.id = request.id;
+  record_.prompt_len = request.prompt_len;
+  record_.decode_len = request.decode_len;
+  record_.arrival_ms = request.arrival_ms;
+  record_.admit_ms = -1.0;
+  record_.prefill_done_ms = -1.0;
+  record_.first_token_ms = -1.0;
+  record_.finish_ms = -1.0;
+}
+
+const SessionRecord& Session::complete_record() {
+  expects(finished(), "Session::complete_record: session has not finished");
+  record_.mean_recall = engine_->mean_recall();
+  record_.recall_steps = engine_->recall_steps();
+  record_.mean_coverage = engine_->mean_coverage();
+  record_.cache_hit_rate = cache_hit_rate();
+  record_.prefetch_hit_tokens = engine_->total_prefetch_hits();
+  record_.prefetch_issued_tokens = engine_->total_prefetch_issued();
+  record_.demand_fetched_tokens = demand_fetched_tokens();
+  using obs::FetchCancelReason;
+  std::int64_t mispredict = 0;
+  std::int64_t enforce = 0;
+  std::int64_t release = 0;
+  engine_->selectors().for_each([&](const KVSelector& selector) {
+    mispredict += selector.prefetch_canceled_tokens(FetchCancelReason::kMisprediction);
+    enforce += selector.prefetch_canceled_tokens(FetchCancelReason::kEnforcement);
+    release += selector.prefetch_canceled_tokens(FetchCancelReason::kSessionRelease);
+  });
+  record_.prefetch_canceled_mispredict_tokens = mispredict;
+  record_.prefetch_canceled_enforce_tokens = enforce;
+  record_.prefetch_canceled_release_tokens = release;
+  return record_;
 }
 
 void Session::admit(double now_ms) {
   expects(state_ == SessionState::kQueued, "Session::admit: already admitted");
   expects(now_ms >= request_.arrival_ms, "Session::admit: admitted before arrival");
   state_ = SessionState::kPrefilling;
-  admit_ms_ = now_ms;
+  record_.admit_ms = now_ms;
 }
 
 Index Session::prefill_next(Index chunk_tokens, double completed_ms) {
@@ -42,15 +74,10 @@ Index Session::prefill_next(Index chunk_tokens, double completed_ms) {
   const Index consumed = engine_->prefill_chunk(max_tokens);
   last_step_ms_ = completed_ms;
   if (engine_->prefilled()) {
-    prefill_done_ms_ = completed_ms;
+    record_.prefill_done_ms = completed_ms;
     state_ = SessionState::kDecoding;
   }
   return consumed;
-}
-
-void Session::run_prefill(double now_ms) {
-  admit(now_ms);
-  prefill_next(0, now_ms);
 }
 
 StepResult Session::decode_next(double completed_ms) {
@@ -58,12 +85,12 @@ StepResult Session::decode_next(double completed_ms) {
           "Session::decode_next: session is not decoding");
   StepResult result = engine_->decode_next();
   last_step_ms_ = completed_ms;
-  if (first_token_ms_ < 0.0) {
-    first_token_ms_ = completed_ms;
+  if (record_.first_token_ms < 0.0) {
+    record_.first_token_ms = completed_ms;
   }
   if (engine_->steps_completed() >= request_.decode_len) {
     state_ = SessionState::kFinished;
-    finish_ms_ = completed_ms;
+    record_.finish_ms = completed_ms;
   }
   return result;
 }
@@ -74,76 +101,57 @@ void Session::abort(double now_ms) {
   expects(tokens_generated() >= 1,
           "Session::abort: abort lands after a committed decode step");
   state_ = SessionState::kFinished;
-  finish_ms_ = now_ms;
-  aborted_ = true;
+  record_.finish_ms = now_ms;
+  record_.aborted = true;
+  // Throughput and inter-token math count the tokens actually produced,
+  // not the request's never-reached target.
+  record_.decode_len = tokens_generated();
 }
 
-void Session::set_degraded_step(bool degraded) {
-  auto& bank = engine_->selectors();
-  for (Index l = 0; l < bank.num_layers(); ++l) {
-    for (Index h = 0; h < bank.num_heads(); ++h) {
-      bank.at(l, h).set_degraded_step(degraded);
-    }
+void Session::note_fetch_fault(Index retries, double penalty_ms, bool dead) {
+  record_.fault_retries += retries;
+  record_.fault_retry_ms += penalty_ms;
+  if (dead) {
+    ++record_.dead_fetches;
+    ++record_.degraded_steps;
+    engine_->selectors().for_each(
+        [](KVSelector& selector) { selector.set_degraded_step(true); });
   }
-  if (degraded) {
-    ++degraded_steps_;
-  }
+}
+
+void Session::clear_degraded_step() {
+  engine_->selectors().for_each(
+      [](KVSelector& selector) { selector.set_degraded_step(false); });
 }
 
 void Session::attach_fast_tier_ledger(FastTierLedger* ledger) {
-  auto& bank = engine_->selectors();
-  for (Index l = 0; l < bank.num_layers(); ++l) {
-    for (Index h = 0; h < bank.num_heads(); ++h) {
-      bank.at(l, h).attach_fast_tier_ledger(ledger);
-    }
-  }
+  engine_->selectors().for_each(
+      [ledger](KVSelector& selector) { selector.attach_fast_tier_ledger(ledger); });
 }
 
 std::int64_t Session::fast_resident_bytes() const {
-  const Index per_token = session_token_bytes(config_);
   std::int64_t tokens = 0;
-  const auto& bank = engine_->selectors();
-  for (Index l = 0; l < bank.num_layers(); ++l) {
-    for (Index h = 0; h < bank.num_heads(); ++h) {
-      tokens += bank.at(l, h).fast_resident_tokens();
-    }
-  }
-  return tokens * per_token;
+  engine_->selectors().for_each([&tokens](const KVSelector& selector) {
+    tokens += selector.fast_resident_tokens();
+  });
+  return tokens * session_token_bytes(config_);
 }
 
 Index Session::release_fast_tier() {
   Index moved = 0;
-  auto& bank = engine_->selectors();
-  for (Index l = 0; l < bank.num_layers(); ++l) {
-    for (Index h = 0; h < bank.num_heads(); ++h) {
-      moved += bank.at(l, h).release_fast_tier();
-    }
-  }
+  engine_->selectors().for_each(
+      [&moved](KVSelector& selector) { moved += selector.release_fast_tier(); });
   if (moved > 0) {
-    ++preemptions_;
+    ++record_.preemptions;
   }
   return moved;
 }
 
 Index Session::cancel_prefetches(obs::FetchCancelReason reason) {
   Index canceled = 0;
-  auto& bank = engine_->selectors();
-  for (Index l = 0; l < bank.num_layers(); ++l) {
-    for (Index h = 0; h < bank.num_heads(); ++h) {
-      canceled += bank.at(l, h).cancel_prefetches(reason);
-    }
-  }
-  return canceled;
-}
-
-std::int64_t Session::prefetch_canceled_tokens(obs::FetchCancelReason reason) const {
-  std::int64_t canceled = 0;
-  const auto& bank = engine_->selectors();
-  for (Index l = 0; l < bank.num_layers(); ++l) {
-    for (Index h = 0; h < bank.num_heads(); ++h) {
-      canceled += bank.at(l, h).prefetch_canceled_tokens(reason);
-    }
-  }
+  engine_->selectors().for_each([&canceled, reason](KVSelector& selector) {
+    canceled += selector.cancel_prefetches(reason);
+  });
   return canceled;
 }
 
@@ -152,25 +160,11 @@ std::int64_t Session::context_bytes(Index tokens) const noexcept {
          config_.shape.total_heads();
 }
 
-double Session::mean_recall() const { return engine_->mean_recall(); }
-
-Index Session::recall_steps() const { return engine_->recall_steps(); }
-
-double Session::mean_coverage() const { return engine_->mean_coverage(); }
-
 double Session::cache_hit_rate() const {
   const double total = static_cast<double>(engine_->total_cache_hits()) +
                        static_cast<double>(engine_->total_fetched());
   return total <= 0.0 ? 0.0
                       : static_cast<double>(engine_->total_cache_hits()) / total;
-}
-
-std::int64_t Session::prefetch_hit_tokens() const {
-  return engine_->total_prefetch_hits();
-}
-
-std::int64_t Session::prefetch_issued_tokens() const {
-  return engine_->total_prefetch_issued();
 }
 
 std::int64_t Session::demand_fetched_tokens() const {

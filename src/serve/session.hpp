@@ -10,10 +10,16 @@
 // long admission with other sessions' decode steps. Preemption does not
 // change state (and may land mid-prefill): it only moves reclaimable KV
 // to the slow tier; the session keeps going and refetches on demand.
+//
+// The session keeps its own SessionRecord and stamps it as events happen
+// (admit, prefill done, first token, finish, preemptions, abort, fault
+// bookkeeping); complete_record() adds the engine-derived quality and
+// traffic fields once, at retirement.
 #pragma once
 
 #include <memory>
 
+#include "metrics/serve_metrics.hpp"
 #include "model/decode_engine.hpp"
 #include "model/procedural.hpp"
 #include "serve/request_queue.hpp"
@@ -29,17 +35,13 @@ struct SessionConfig {
   SimShape shape;            ///< simulation slice every session runs
   ProceduralParams params;   ///< procedural context statistics
   DecodeEngineConfig engine; ///< budget etc. for the per-session engine
-  /// fp16-equivalent residency accounting. Must match the selector's own
-  /// width (ClusterKVConfig::element_bytes) or the scheduler's byte math
-  /// diverges from the stores' ledger.
-  Index element_bytes = 2;
 };
 
-/// Bytes of one token's KV entry (key + value) for one head at the
-/// config's accounting width — the single source for all serving byte
-/// math (sessions, scheduler projections, bench budget sizing).
+/// Bytes of one token's KV entry (key + value) for one head at kFp16Bytes
+/// — the single source for all serving byte math (sessions, scheduler
+/// projections, bench budget sizing), equal to TieredKVStore::token_bytes.
 [[nodiscard]] inline Index session_token_bytes(const SessionConfig& config) noexcept {
-  return 2 * config.shape.head_dim * config.element_bytes;
+  return 2 * config.shape.head_dim * kFp16Bytes;
 }
 
 class Session {
@@ -63,6 +65,21 @@ class Session {
     return state_ == SessionState::kFinished;
   }
 
+  /// The session's record as stamped so far. Timestamps read -1 until
+  /// their event happens (admit_ms while queued, prefill_done_ms while
+  /// prefilling, first_token_ms before the first token, finish_ms until
+  /// finished); the counters (preemptions, aborted, degraded steps, fault
+  /// retries and their backoff, dead fetches) are live. The
+  /// engine-derived fields stay zero until complete_record().
+  [[nodiscard]] const SessionRecord& record() const noexcept { return record_; }
+
+  /// Retirement: fills the engine-derived fields (recall, recall steps,
+  /// coverage, cache hit rate, prefetch hit / issued / demand tokens and
+  /// the three cancel reasons) and returns the finished record. Only
+  /// valid once finished; call after the final cancel_prefetches so every
+  /// issued fetch has resolved.
+  const SessionRecord& complete_record();
+
   /// Admits the session (kQueued -> kPrefilling) without touching the
   /// prompt. `now_ms` is the admission timestamp on the scheduler's clock
   /// (queue wait = now - arrival); feeding the prompt is prefill_next's
@@ -76,10 +93,6 @@ class Session {
   /// prefill_done_ms. Only valid while prefilling.
   Index prefill_next(Index chunk_tokens, double completed_ms);
 
-  /// Convenience for single-shot admission (tests, non-serving drivers):
-  /// admit() + one whole-prompt chunk, both stamped `now_ms`.
-  void run_prefill(double now_ms);
-
   /// Runs one decode step; `completed_ms` is when the token lands on the
   /// virtual clock (the scheduler knows the tick cost, the session does
   /// not). Transitions to kFinished after decode_len steps. Only valid
@@ -87,14 +100,12 @@ class Session {
   StepResult decode_next(double completed_ms);
 
   /// Mid-decode cancellation (fault injection / client disconnect): ends
-  /// the session now (kDecoding -> kFinished) with whatever it generated.
-  /// Requires at least one generated token so finish/first-token
-  /// timestamps stay ordered; the scheduler retires the session through
-  /// the normal path (release, ledger detach, record) afterwards.
+  /// the session now (kDecoding -> kFinished) with whatever it generated,
+  /// which becomes the record's decode_len. Requires at least one
+  /// generated token so finish/first-token timestamps stay ordered; the
+  /// scheduler retires the session through the normal path (release,
+  /// ledger detach, record) afterwards.
   void abort(double now_ms);
-
-  /// True when the session ended via abort() rather than completing.
-  [[nodiscard]] bool aborted() const noexcept { return aborted_; }
 
   /// Prompt tokens fed to the engine so far (== prompt_len once decoding).
   [[nodiscard]] Index prefill_tokens_done() const noexcept {
@@ -108,11 +119,12 @@ class Session {
   void attach_fast_tier_ledger(FastTierLedger* ledger);
 
   /// Fast-tier bytes this session currently holds, summed over all
-  /// per-head selectors at the configured element width.
+  /// per-head selectors at kFp16Bytes.
   [[nodiscard]] std::int64_t fast_resident_bytes() const;
 
   /// Preemption: every per-head selector releases its reclaimable fast KV
-  /// (sinks and pending tokens stay). Returns total tokens offloaded.
+  /// (sinks and pending tokens stay). Returns total tokens offloaded; a
+  /// release that moved tokens counts one record().preemptions.
   Index release_fast_tier();
 
   /// Drops every per-head selector's in-flight speculative fetches
@@ -124,77 +136,32 @@ class Session {
   Index cancel_prefetches(obs::FetchCancelReason reason =
                               obs::FetchCancelReason::kEnforcement);
 
-  /// Speculative fetches canceled for `reason`, summed over all per-head
-  /// selectors (waste attribution; see obs::FetchCancelReason).
-  [[nodiscard]] std::int64_t prefetch_canceled_tokens(
-      obs::FetchCancelReason reason) const;
-
-  /// Times release_fast_tier actually moved tokens (preemption count).
-  [[nodiscard]] Index preemptions() const noexcept { return preemptions_; }
-
   // ---- fault injection (all zero / no-ops on the fault-free path) ----
 
-  /// Marks (or clears) the next decode step as degraded: every per-head
-  /// selector falls back to resident-only selection and issues no
-  /// slow-tier traffic. Setting it also counts one degraded step.
-  void set_degraded_step(bool degraded);
+  /// Records the resolved fate of one faulted demand fetch: `retries`
+  /// billed attempts costing `penalty_ms` of backoff stall, and, when the
+  /// fetch is `dead`, one dead fetch plus degraded mode for the decode
+  /// step about to run (every per-head selector falls back to
+  /// resident-only selection and issues no slow-tier traffic; counted as
+  /// one degraded step).
+  void note_fetch_fault(Index retries, double penalty_ms, bool dead);
 
-  /// Decode steps this session served in degraded (resident-only) mode.
-  [[nodiscard]] Index degraded_steps() const noexcept { return degraded_steps_; }
-
-  /// Accumulates billed fetch-retry attempts and their backoff stall.
-  void note_fault_retries(Index retries, double penalty_ms) {
-    fault_retries_ += retries;
-    fault_retry_ms_ += penalty_ms;
-  }
-  /// Retry attempts billed against this session's demand fetches.
-  [[nodiscard]] Index fault_retries() const noexcept { return fault_retries_; }
-  /// Total backoff stall billed for those retries (virtual ms).
-  [[nodiscard]] double fault_retry_ms() const noexcept { return fault_retry_ms_; }
-  /// Counts one demand fetch declared dead (retries/deadline exhausted).
-  void note_dead_fetch() { ++dead_fetches_; }
-  [[nodiscard]] Index dead_fetches() const noexcept { return dead_fetches_; }
+  /// Disarms degraded mode after the step it covered.
+  void clear_degraded_step();
 
   /// Bytes of `tokens` context tokens held fast across all heads/layers —
   /// the admission projection for methods that pin the whole context.
   [[nodiscard]] std::int64_t context_bytes(Index tokens) const noexcept;
 
-  // ---- timing (scheduler-assigned virtual timestamps, ms) ----
-
-  /// When the request entered the queue (copied from the request).
-  [[nodiscard]] double arrival_ms() const noexcept { return request_.arrival_ms; }
-  /// When the scheduler admitted the session (-1 while queued).
-  [[nodiscard]] double admit_ms() const noexcept { return admit_ms_; }
-  /// When the final prefill chunk completed (-1 while prefilling).
-  [[nodiscard]] double prefill_done_ms() const noexcept { return prefill_done_ms_; }
-  /// When the first generated token landed (-1 before it).
-  [[nodiscard]] double first_token_ms() const noexcept { return first_token_ms_; }
-  /// When the last generated token landed (-1 until finished).
-  [[nodiscard]] double finish_ms() const noexcept { return finish_ms_; }
   /// Last time this session made progress (decode step or prefill chunk);
   /// the scheduler's coldness key for preemption victim choice.
   [[nodiscard]] double last_step_ms() const noexcept { return last_step_ms_; }
 
-  // ---- quality / traffic ----
+  // ---- live fetch rates (the scheduler's billing inputs) ----
 
-  [[nodiscard]] double mean_recall() const;
-  /// Meaningful (selection-forced) decode steps behind mean_recall — the
-  /// aggregation weight that keeps cross-run recall comparisons on an
-  /// identical denominator (see DecodeEngine::recall_stat).
-  [[nodiscard]] Index recall_steps() const;
-  [[nodiscard]] double mean_coverage() const;
   /// Lifetime cluster-cache hit rate (hits / (hits + fetches); 0 when the
   /// method never fetches).
   [[nodiscard]] double cache_hit_rate() const;
-
-  // ---- async prefetch traffic (0 everywhere when prefetch is off) ----
-
-  /// Fetched tokens whose copy was issued speculatively (prefetch hits).
-  [[nodiscard]] std::int64_t prefetch_hit_tokens() const;
-  /// Speculative fetches issued in total (hits + waste).
-  [[nodiscard]] std::int64_t prefetch_issued_tokens() const;
-  /// Fetched tokens the prediction missed (fetched - prefetch hits).
-  [[nodiscard]] std::int64_t demand_fetched_tokens() const;
   /// Share of selected-token traffic fetched synchronously: the billing
   /// split's demand term (equals 1 - cache_hit_rate with prefetch off).
   /// 1.0 before any selection, mirroring cache_hit_rate's pessimism.
@@ -207,22 +174,16 @@ class Session {
   [[nodiscard]] const SessionConfig& config() const noexcept { return config_; }
 
  private:
+  /// Fetched tokens the prediction missed (fetched - prefetch hits).
+  [[nodiscard]] std::int64_t demand_fetched_tokens() const;
+
   ServeRequest request_;
   SessionConfig config_;
   std::unique_ptr<ProceduralContextModel> model_;
   std::unique_ptr<DecodeEngine> engine_;
   SessionState state_ = SessionState::kQueued;
-  double admit_ms_ = -1.0;
-  double prefill_done_ms_ = -1.0;
-  double first_token_ms_ = -1.0;
-  double finish_ms_ = -1.0;
+  SessionRecord record_;
   double last_step_ms_ = -1.0;
-  Index preemptions_ = 0;
-  bool aborted_ = false;
-  Index degraded_steps_ = 0;
-  Index fault_retries_ = 0;
-  double fault_retry_ms_ = 0.0;
-  Index dead_fetches_ = 0;
 };
 
 }  // namespace ckv

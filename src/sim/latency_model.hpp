@@ -51,8 +51,8 @@ struct RunLatency {
 
 class LatencyModel {
  public:
-  LatencyModel(const HardwareModel& hw, const ModelConfig& model,
-               Index element_bytes = 2);
+  /// KV and weights are stored at kFp16Bytes.
+  LatencyModel(const HardwareModel& hw, const ModelConfig& model);
 
   [[nodiscard]] const ModelConfig& model() const noexcept { return model_; }
 
@@ -71,7 +71,7 @@ class LatencyModel {
   [[nodiscard]] std::int64_t fetch_bytes_per_token(
       Index transfer_element_bytes = 0) const noexcept {
     return model_.kv_bytes_per_token(
-        transfer_element_bytes > 0 ? transfer_element_bytes : element_bytes_);
+        transfer_element_bytes > 0 ? transfer_element_bytes : kFp16Bytes);
   }
   /// Visible stall of `bytes` of demand traffic on a shared link running
   /// at `link_gbps` (0 = the hardware gather rate): the closed-form
@@ -166,7 +166,6 @@ class LatencyModel {
 
   HardwareModel hw_;
   ModelConfig model_;
-  Index element_bytes_;
 };
 
 /// Display name for tables.

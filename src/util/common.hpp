@@ -13,6 +13,11 @@ namespace ckv {
 /// types for arithmetic). Converted at std:: container boundaries.
 using Index = std::int64_t;
 
+/// Bytes of one stored K or V element: fp16, as in the paper. The one
+/// width behind every residency and latency byte count (per-head stores,
+/// the scheduler's projections, the latency model's HBM and wire terms).
+inline constexpr Index kFp16Bytes = 2;
+
 /// Throws std::invalid_argument when a precondition does not hold.
 /// Used at public API boundaries; hot inner loops avoid it.
 inline void expects(bool condition, std::string_view message) {

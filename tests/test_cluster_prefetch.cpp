@@ -460,7 +460,8 @@ TEST(Session, ReleaseAndRetirementCancelInFlightFetches) {
   Session session(request, make_clusterkv_factory(ckv, 21), config);
   FastTierLedger ledger;
   session.attach_fast_tier_ledger(&ledger);
-  session.run_prefill(0.0);
+  session.admit(0.0);
+  session.prefill_next(0, 0.0);
   session.decode_next(1.0);
   session.decode_next(2.0);
   ASSERT_GT(ledger.reserved_bytes(), 0);  // prefetches in flight
@@ -470,7 +471,7 @@ TEST(Session, ReleaseAndRetirementCancelInFlightFetches) {
   EXPECT_GT(session.cancel_prefetches(), 0);
   EXPECT_EQ(ledger.reserved_bytes(), 0);
   EXPECT_EQ(ledger.bytes(), resident_before);  // resident KV untouched
-  EXPECT_EQ(session.preemptions(), 0);         // not a preemption
+  EXPECT_EQ(session.record().preemptions, 0);         // not a preemption
 
   // Fresh fetches get issued; session release (ledger detach, the
   // retirement path) drops them with everything else.

@@ -125,21 +125,23 @@ TEST(Session, LifecycleAndTimestamps) {
   Session session(request, make_clusterkv_factory(small_ckv_config(), 1), config);
   EXPECT_EQ(session.state(), SessionState::kQueued);
   EXPECT_THROW(session.decode_next(1.0), std::invalid_argument);
-  EXPECT_THROW(session.run_prefill(1.0), std::invalid_argument);  // before arrival
+  EXPECT_THROW(session.admit(1.0), std::invalid_argument);  // before arrival
 
-  session.run_prefill(20.0);
+  session.admit(20.0);
+  session.prefill_next(0, 20.0);
   EXPECT_EQ(session.state(), SessionState::kDecoding);
-  EXPECT_DOUBLE_EQ(session.admit_ms(), 20.0);
+  EXPECT_DOUBLE_EQ(session.record().admit_ms, 20.0);
+  EXPECT_DOUBLE_EQ(session.record().first_token_ms, -1.0);
 
   session.decode_next(30.0);
-  EXPECT_DOUBLE_EQ(session.first_token_ms(), 30.0);
+  EXPECT_DOUBLE_EQ(session.record().first_token_ms, 30.0);
   session.decode_next(40.0);
   session.decode_next(50.0);
   EXPECT_EQ(session.state(), SessionState::kDecoding);
   session.decode_next(60.0);
   EXPECT_TRUE(session.finished());
   EXPECT_EQ(session.tokens_generated(), 4);
-  EXPECT_DOUBLE_EQ(session.finish_ms(), 60.0);
+  EXPECT_DOUBLE_EQ(session.record().finish_ms, 60.0);
   EXPECT_THROW(session.decode_next(70.0), std::invalid_argument);
 }
 
@@ -147,7 +149,8 @@ TEST(Session, FastResidencyIsBoundedAndReleasable) {
   const auto config = small_session_config();
   ServeRequest request{0, 0.0, 400, 6, 12};
   Session session(request, make_clusterkv_factory(small_ckv_config(), 2), config);
-  session.run_prefill(0.0);
+  session.admit(0.0);
+  session.prefill_next(0, 0.0);
   // After prefill, clustered tokens are offloaded: only sinks remain fast.
   const Index per_token = session_token_bytes(config);
   EXPECT_EQ(session.fast_resident_bytes(),
@@ -159,7 +162,7 @@ TEST(Session, FastResidencyIsBoundedAndReleasable) {
 
   const Index moved = session.release_fast_tier();
   EXPECT_GT(moved, 0);
-  EXPECT_EQ(session.preemptions(), 1);
+  EXPECT_EQ(session.record().preemptions, 1);
   // Post-release: only sinks + the pending decode token stay fast.
   EXPECT_EQ(session.fast_resident_bytes(),
             (small_ckv_config().sink_tokens + 1) * per_token *
@@ -173,10 +176,11 @@ TEST(Session, FullKVPinsWholeContext) {
   const auto config = small_session_config();
   ServeRequest request{0, 0.0, 150, 3, 13};
   Session session(request, make_full_kv_factory(), config);
-  session.run_prefill(0.0);
+  session.admit(0.0);
+  session.prefill_next(0, 0.0);
   EXPECT_EQ(session.fast_resident_bytes(), session.context_bytes(150));
   EXPECT_EQ(session.release_fast_tier(), 0);  // nothing reclaimable
-  EXPECT_EQ(session.preemptions(), 0);
+  EXPECT_EQ(session.record().preemptions, 0);
   session.decode_next(1.0);
   EXPECT_EQ(session.fast_resident_bytes(), session.context_bytes(151));
 }
@@ -459,19 +463,19 @@ TEST(Session, ResumeAfterPreemptionMidPrefill) {
   EXPECT_LE(resident_before, (ckv.sink_tokens + ckv.tokens_per_cluster) *
                                  per_token * config.shape.total_heads());
   EXPECT_EQ(session.release_fast_tier(), 0);
-  EXPECT_EQ(session.preemptions(), 0);
+  EXPECT_EQ(session.record().preemptions, 0);
   EXPECT_EQ(session.fast_resident_bytes(), resident_before);
 
   // Resume: the remaining chunks complete prefill and decode refetches
   // preempted clusters from the slow tier.
   EXPECT_EQ(session.prefill_next(300, 2.0), 300);
   EXPECT_EQ(session.state(), SessionState::kDecoding);
-  EXPECT_DOUBLE_EQ(session.prefill_done_ms(), 2.0);
+  EXPECT_DOUBLE_EQ(session.record().prefill_done_ms, 2.0);
   // Prefill is over; further chunk calls are a state-machine violation.
   EXPECT_THROW(session.prefill_next(1, 3.0), std::invalid_argument);
   const auto step = session.decode_next(4.0);
   EXPECT_GT(step.tokens_fetched, 0);
-  EXPECT_DOUBLE_EQ(session.first_token_ms(), 4.0);
+  EXPECT_DOUBLE_EQ(session.record().first_token_ms, 4.0);
 }
 
 TEST(BatchScheduler, ClusterKVOutservesFullKVAtEqualBudget) {
@@ -1002,6 +1006,85 @@ TEST(FleetDeterminism, MetricsAndRecordsIdenticalAcrossWorkerCounts) {
       }
     }
   }
+}
+
+/// One source per fleet total: after a contended, prefetching fleet run
+/// under a fault plan (retries, dead fetches, degraded steps, aborts,
+/// enforcement cancels), every total ServeMetrics reads from its registry
+/// counter equals the sum of the matching field over records().
+TEST(ServeMetrics, FleetTotalsEqualRecordSums) {
+  const auto session = small_session_config();
+  ClusterKVConfig ckv = small_ckv_config();
+  ckv.prefetch_clusters = 3;
+  BatchSchedulerConfig config = clusterkv_scheduler_config(ckv);
+  config.prefill_chunk_tokens = 64;
+  config.link_gbps = 0.5;
+  config.fast_tier_budget_bytes = static_cast<std::int64_t>(1.3 * 190.0) *
+                                  session_token_bytes(session) *
+                                  session.shape.total_heads();
+  config.admission_overcommit = 1.5;
+  config.fault_plan = FaultPlan::chaos(7);
+  config.fault_plan.fetch_max_retries = 1;  // dead fetches, so degraded steps
+  config.fault_plan.abort_rate = 0.05;
+  config.fault_plan.shed_wait_ms = 0.0;  // every request retires with a record
+  const auto trace = fixed_trace(12, 200, 12, 10.0);
+  BatchScheduler scheduler(trace, make_clusterkv_factory(ckv, 7), session,
+                           test_latency(), config);
+  scheduler.run();
+  const ServeMetrics& m = scheduler.metrics();
+  ASSERT_EQ(m.sessions(), static_cast<Index>(trace.size()));
+
+  SessionRecord sum;
+  Index aborts = 0;
+  for (const SessionRecord& r : m.records()) {
+    aborts += r.aborted ? 1 : 0;
+    sum.decode_len += r.decode_len;
+    sum.degraded_steps += r.degraded_steps;
+    sum.fault_retries += r.fault_retries;
+    sum.fault_retry_ms += r.fault_retry_ms;
+    sum.dead_fetches += r.dead_fetches;
+    sum.prefetch_issued_tokens += r.prefetch_issued_tokens;
+    sum.prefetch_hit_tokens += r.prefetch_hit_tokens;
+    sum.demand_fetched_tokens += r.demand_fetched_tokens;
+    sum.prefetch_canceled_mispredict_tokens += r.prefetch_canceled_mispredict_tokens;
+    sum.prefetch_canceled_enforce_tokens += r.prefetch_canceled_enforce_tokens;
+    sum.prefetch_canceled_release_tokens += r.prefetch_canceled_release_tokens;
+  }
+  // Every path this test exists for actually fired.
+  ASSERT_GT(aborts, 0);
+  ASSERT_GT(sum.fault_retries, 0);
+  ASSERT_GT(sum.dead_fetches, 0);
+  ASSERT_GT(sum.prefetch_hit_tokens, 0);
+  ASSERT_GT(sum.prefetch_canceled_mispredict_tokens, 0);
+  ASSERT_GT(sum.prefetch_canceled_enforce_tokens, 0);
+  ASSERT_GT(sum.prefetch_canceled_release_tokens, 0);
+
+  EXPECT_EQ(m.total_tokens(), sum.decode_len);
+  EXPECT_EQ(m.fault_aborts_total(), aborts);
+  EXPECT_EQ(m.degraded_steps_total(), sum.degraded_steps);
+  EXPECT_EQ(m.dead_fetches_total(), sum.dead_fetches);
+  EXPECT_EQ(m.fault_retries_total(), sum.fault_retries);
+  // Same addends, summed in fault-roll order vs retirement order.
+  EXPECT_NEAR(m.fault_retry_ms_total(), sum.fault_retry_ms,
+              1e-12 * sum.fault_retry_ms);
+  EXPECT_EQ(m.fault_fetch_faults_total(),
+            m.fault_retried_ok_total() + m.dead_fetches_total());
+  EXPECT_EQ(m.prefetch_issued_total(), sum.prefetch_issued_tokens);
+  EXPECT_EQ(m.prefetch_hits_total(), sum.prefetch_hit_tokens);
+  EXPECT_EQ(m.prefetch_canceled_total(obs::FetchCancelReason::kMisprediction),
+            sum.prefetch_canceled_mispredict_tokens);
+  EXPECT_EQ(m.prefetch_canceled_total(obs::FetchCancelReason::kEnforcement),
+            sum.prefetch_canceled_enforce_tokens);
+  EXPECT_EQ(m.prefetch_canceled_total(obs::FetchCancelReason::kSessionRelease),
+            sum.prefetch_canceled_release_tokens);
+  EXPECT_DOUBLE_EQ(m.prefetch_hit_rate(),
+                   static_cast<double>(sum.prefetch_hit_tokens) /
+                       static_cast<double>(sum.prefetch_hit_tokens +
+                                           sum.demand_fetched_tokens));
+  EXPECT_DOUBLE_EQ(m.prefetch_waste_rate(),
+                   static_cast<double>(sum.prefetch_issued_tokens -
+                                       sum.prefetch_hit_tokens) /
+                       static_cast<double>(sum.prefetch_issued_tokens));
 }
 
 /// Fairness regression at max_running saturation: the round-robin rotation

@@ -387,6 +387,11 @@ int run_serve(int argc, const char* const* argv) {
         "--prefetch-clusters only applies to clusterkv (other methods have "
         "no cluster cache to prefetch into)");
   }
+  if (method != "clusterkv" && args.get_double("link-gbps") != 0.0) {
+    throw std::invalid_argument(
+        "--link-gbps only applies to clusterkv (other methods put no fetch "
+        "traffic on the modeled slow->fast link)");
+  }
   const std::string fault_plan = args.get_string("fault-plan");
   if (fault_plan == "chaos") {
     if (method != "clusterkv") {
